@@ -80,6 +80,13 @@
 //     --metrics <file>                   write the metrics registry as JSON
 //     --chrome-trace <file>              write a chrome://tracing trace
 //
+// Environment (read here, once, and passed down as a sim::SimConfig — the
+// library itself never reads the environment):
+//
+//     IFSYN_SIM_ENGINE=vm|ast            simulation engine (default vm); any
+//                                        other value warns and runs the VM
+//     IFSYN_SIM_OPT=0                    disable the bytecode optimizer
+//
 // Reads a textual specification (see src/spec/parser.hpp for the
 // language), runs interface synthesis (bus generation for groups without
 // a pinned width + protocol generation), reports the synthesized bus
@@ -118,6 +125,7 @@
 #include "serve/json.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
+#include "sim/bytecode/optimizer.hpp"
 #include "sim/vcd.hpp"
 #include "spec/parser.hpp"
 #include "spec/printer.hpp"
@@ -159,9 +167,26 @@ int usage(const char* argv0) {
                "[--metrics-text <file>] [--no-timing]\n"
                "          [--trace <file>] [--event-log <file>] "
                "[--watchdog-ms N] [--trace-dir <dir>]\n"
-               "          [--slow-trace-ms N] [--slow-trace-keep N]\n",
+               "          [--slow-trace-ms N] [--slow-trace-keep N]\n"
+               "environment: IFSYN_SIM_ENGINE=vm|ast, IFSYN_SIM_OPT=0|1\n",
                argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
+}
+
+/// The simulator configuration selected by IFSYN_SIM_ENGINE and
+/// IFSYN_SIM_OPT. An unknown engine spelling warns and runs the VM.
+sim::SimConfig sim_config_from_env() {
+  std::string bad_engine;
+  sim::SimConfig config;
+  config.engine = sim::engine_from_env(&bad_engine);
+  config.opt = sim::bytecode::opt_level_from_env();
+  if (!bad_engine.empty()) {
+    std::fprintf(stderr,
+                 "warning: unknown IFSYN_SIM_ENGINE value '%s'; using the "
+                 "bytecode VM\n",
+                 bad_engine.c_str());
+  }
+  return config;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -303,7 +328,8 @@ int check_main(int argc, char** argv, const char* argv0) {
 /// target, actually run it, and diff the trace-mined protocol automaton
 /// of every refined bus against the statically extracted one. Exit 0
 /// only when the mined and static views agree on every lane.
-int conform_main(int argc, char** argv, const char* argv0) {
+int conform_main(int argc, char** argv, const char* argv0,
+                 const sim::SimConfig& sim_config) {
   std::string target;
   std::string metrics_path;
   std::string report_path;
@@ -373,7 +399,7 @@ int conform_main(int argc, char** argv, const char* argv0) {
   }
 
   sim::SimulationRun run =
-      sim::simulate(system, max_time, /*trace=*/true, obs);
+      sim::simulate(system, max_time, /*trace=*/true, obs, sim_config);
   if (!run.result.status.is_ok()) {
     std::fprintf(stderr, "simulation failed: %s\n",
                  run.result.status.to_string().c_str());
@@ -405,7 +431,8 @@ int conform_main(int argc, char** argv, const char* argv0) {
   return report.clean() ? 0 : 1;
 }
 
-int explore_main(int argc, char** argv, const char* argv0) {
+int explore_main(int argc, char** argv, const char* argv0,
+                 const sim::SimConfig& sim_config) {
   std::string spec_path;
   std::string report_path;
   std::string json_path;
@@ -413,6 +440,7 @@ int explore_main(int argc, char** argv, const char* argv0) {
   std::string trace_path;
   explore::ExploreOptions options;
   options.top_k = 0;
+  options.sim = sim_config;
 
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -563,7 +591,8 @@ struct ServeCliOptions {
 };
 
 int parse_serve_flags(int argc, char** argv, const char* argv0, bool batch,
-                      ServeCliOptions& out) {
+                      const sim::SimConfig& sim_config, ServeCliOptions& out) {
+  out.service.sim = sim_config;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&](const char* flag) -> const char* {
@@ -698,9 +727,11 @@ int write_metrics_text(const serve::Service& service, const std::string& path) {
   return 0;
 }
 
-int batch_main(int argc, char** argv, const char* argv0) {
+int batch_main(int argc, char** argv, const char* argv0,
+               const sim::SimConfig& sim_config) {
   ServeCliOptions cli;
-  if (int rc = parse_serve_flags(argc, argv, argv0, /*batch=*/true, cli);
+  if (int rc = parse_serve_flags(argc, argv, argv0, /*batch=*/true,
+                                 sim_config, cli);
       rc >= 0) {
     return rc;
   }
@@ -762,9 +793,11 @@ int batch_main(int argc, char** argv, const char* argv0) {
   return all_ok ? 0 : 1;
 }
 
-int serve_main(int argc, char** argv, const char* argv0) {
+int serve_main(int argc, char** argv, const char* argv0,
+               const sim::SimConfig& sim_config) {
   ServeCliOptions cli;
-  if (int rc = parse_serve_flags(argc, argv, argv0, /*batch=*/false, cli);
+  if (int rc = parse_serve_flags(argc, argv, argv0, /*batch=*/false,
+                                 sim_config, cli);
       rc >= 0) {
     return rc;
   }
@@ -805,20 +838,21 @@ int serve_main(int argc, char** argv, const char* argv0) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
+  const sim::SimConfig sim_config = sim_config_from_env();
   if (std::strcmp(argv[1], "explore") == 0) {
-    return explore_main(argc - 2, argv + 2, argv[0]);
+    return explore_main(argc - 2, argv + 2, argv[0], sim_config);
   }
   if (std::strcmp(argv[1], "check") == 0) {
     return check_main(argc - 2, argv + 2, argv[0]);
   }
   if (std::strcmp(argv[1], "conform") == 0) {
-    return conform_main(argc - 2, argv + 2, argv[0]);
+    return conform_main(argc - 2, argv + 2, argv[0], sim_config);
   }
   if (std::strcmp(argv[1], "batch") == 0) {
-    return batch_main(argc - 2, argv + 2, argv[0]);
+    return batch_main(argc - 2, argv + 2, argv[0], sim_config);
   }
   if (std::strcmp(argv[1], "serve") == 0) {
-    return serve_main(argc - 2, argv + 2, argv[0]);
+    return serve_main(argc - 2, argv + 2, argv[0], sim_config);
   }
 
   std::string spec_path;
@@ -946,7 +980,8 @@ int main(int argc, char** argv) {
   std::optional<core::EquivalenceReport> equivalence;
   if (cosim) {
     Result<core::EquivalenceReport> eq =
-        core::check_equivalence(original, refined, max_time, {}, obs);
+        core::check_equivalence(original, refined, max_time, {}, obs,
+                                sim_config);
     if (!eq.is_ok()) {
       std::fprintf(stderr, "co-simulation failed: %s\n",
                    eq.status().to_string().c_str());
@@ -965,7 +1000,8 @@ int main(int argc, char** argv) {
   }
 
   if (!vcd_path.empty()) {
-    sim::SimulationRun run = sim::simulate(refined, max_time, /*trace=*/true);
+    sim::SimulationRun run =
+        sim::simulate(refined, max_time, /*trace=*/true, {}, sim_config);
     if (!run.result.status.is_ok()) {
       std::fprintf(stderr, "VCD run failed: %s\n",
                    run.result.status.to_string().c_str());
@@ -985,7 +1021,7 @@ int main(int argc, char** argv) {
     std::vector<protocol::BusTraffic> traffic;
     if (options.protocol == spec::ProtocolKind::kFullHandshake) {
       sim::SimulationRun run =
-          sim::simulate(refined, max_time, /*trace=*/true);
+          sim::simulate(refined, max_time, /*trace=*/true, {}, sim_config);
       if (run.result.status.is_ok()) {
         Result<std::vector<protocol::BusTraffic>> analyzed =
             protocol::analyze_trace(refined, run.kernel->trace(),

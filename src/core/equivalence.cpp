@@ -7,26 +7,28 @@ namespace ifsyn::core {
 Result<EquivalenceReport> check_equivalence(
     const spec::System& original, const spec::System& refined,
     std::uint64_t max_time, const std::vector<std::string>& observed,
-    const obs::ObsContext& obs) {
-  sim::SimulationRun orig_run = sim::simulate(original, max_time);
+    const obs::ObsContext& obs, const sim::SimConfig& config) {
+  sim::SimulationRun orig_run =
+      sim::simulate(original, max_time, /*trace=*/false, {}, config);
   if (!orig_run.result.status.is_ok()) {
     return Status(orig_run.result.status.code(),
                   "original system: " + orig_run.result.status.message());
   }
   return check_equivalence_with(original, orig_run, refined, max_time,
-                                observed, obs);
+                                observed, obs, config);
 }
 
 Result<EquivalenceReport> check_equivalence_with(
     const spec::System& original, const sim::SimulationRun& orig_run,
     const spec::System& refined, std::uint64_t max_time,
-    const std::vector<std::string>& observed, const obs::ObsContext& obs) {
+    const std::vector<std::string>& observed, const obs::ObsContext& obs,
+    const sim::SimConfig& config) {
   if (!orig_run.result.status.is_ok()) {
     return Status(orig_run.result.status.code(),
                   "original system: " + orig_run.result.status.message());
   }
   sim::SimulationRun ref_run =
-      sim::simulate(refined, max_time, /*trace=*/false, obs);
+      sim::simulate(refined, max_time, /*trace=*/false, obs, config);
   if (!ref_run.result.status.is_ok()) {
     return Status(ref_run.result.status.code(),
                   "refined system: " + ref_run.result.status.message());

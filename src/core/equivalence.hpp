@@ -39,22 +39,24 @@ struct EquivalenceReport {
 /// variable present in both systems. `obs` (optional) instruments the
 /// *refined* run only — its generated buses and protocols are what the
 /// "sim." metrics describe; the unrefined original would dilute them.
+/// `config` configures both runs.
 Result<EquivalenceReport> check_equivalence(
     const spec::System& original, const spec::System& refined,
     std::uint64_t max_time = 1'000'000,
     const std::vector<std::string>& observed = {},
-    const obs::ObsContext& obs = {});
+    const obs::ObsContext& obs = {}, const sim::SimConfig& config = {});
 
 /// Same check against an already-simulated original (`original_run` must
 /// come from sim::simulate(original, ...) with an ok status). Callers
 /// that diff many refined candidates against one original — the
 /// explorer's top-K validation, a warm serve pass — pay for the original
 /// run once instead of once per candidate. `original_run` is only read;
-/// concurrent calls sharing one run are safe.
+/// concurrent calls sharing one run are safe. `config` configures the
+/// refined run.
 Result<EquivalenceReport> check_equivalence_with(
     const spec::System& original, const sim::SimulationRun& original_run,
     const spec::System& refined, std::uint64_t max_time = 1'000'000,
     const std::vector<std::string>& observed = {},
-    const obs::ObsContext& obs = {});
+    const obs::ObsContext& obs = {}, const sim::SimConfig& config = {});
 
 }  // namespace ifsyn::core

@@ -245,7 +245,8 @@ Result<ExplorationResult> Explorer::run() const {
     {
       obs::Span span(options_.obs.trace, "simulate original", "explore",
                      options_.obs.request);
-      original_run.emplace(sim::simulate(base, options_.sim_max_time));
+      original_run.emplace(sim::simulate(base, options_.sim_max_time,
+                                         /*trace=*/false, {}, options_.sim));
     }
     run_indexed(out.validated.size(), options_.threads, [&](std::size_t v) {
       PointResult& result = out.points[out.validated[v]];
@@ -279,7 +280,8 @@ Result<ExplorationResult> Explorer::run() const {
       // accumulate alongside the "explore.*" ones. The event set is a
       // pure function of the point, so the sums stay deterministic.
       const Result<core::EquivalenceReport> eq = core::check_equivalence_with(
-          base, *original_run, refined, options_.sim_max_time, {}, obs);
+          base, *original_run, refined, options_.sim_max_time, {}, obs,
+          options_.sim);
       if (!eq.is_ok()) return;
       result.sim_ok = true;
       result.equivalent = eq->equivalent;

@@ -28,6 +28,7 @@
 #include "explore/estimation_cache.hpp"
 #include "explore/pareto.hpp"
 #include "obs/scoped_timer.hpp"
+#include "sim/config.hpp"
 #include "spec/system.hpp"
 #include "util/status.hpp"
 
@@ -43,6 +44,9 @@ struct ExploreOptions {
   int top_k = 0;
   /// Simulation budget per validation run (cycles).
   std::uint64_t sim_max_time = 50'000'000;
+  /// Engine, opt level and program store for the validation runs and the
+  /// one shared run of the original.
+  sim::SimConfig sim;
   /// Serialize concurrent bus masters in the generated protocols.
   bool arbitrate = true;
   /// Per-process execution-time constraints (estimator clocks): points

@@ -24,20 +24,15 @@
 
 namespace ifsyn::obs {
 
-class EventLog;
-
 /// Non-owning observability hooks, passed by value through option structs.
 /// Callers own the registry/sink and keep them alive across the call.
 /// `request`, when set by a service front end, attributes every span the
 /// instrumented code emits to the owning request (args.trace_id in the
-/// Chrome trace); engine code never reads it directly. `log` (optional,
-/// rate-limited — see obs/log.hpp) carries structured warnings such as the
-/// sim engine's native-to-VM fallback notices.
+/// Chrome trace); engine code never reads it directly.
 struct ObsContext {
   MetricsRegistry* metrics = nullptr;
   TraceSink* trace = nullptr;
   const RequestContext* request = nullptr;
-  EventLog* log = nullptr;
 
   bool enabled() const { return metrics != nullptr || trace != nullptr; }
 };

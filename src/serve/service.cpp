@@ -81,15 +81,6 @@ Service::Service(ServiceOptions options)
                                         obs::Determinism::kWallClock),
                      &registry_.counter("serve.program_cache.evictions",
                                         obs::Determinism::kWallClock)),
-      native_cache_(options_.native_cache_capacity,
-                    &registry_.counter("serve.native_cache.hits",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.misses",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.evictions",
-                                       obs::Determinism::kWallClock),
-                    &registry_.counter("serve.native_cache.compiles",
-                                       obs::Determinism::kWallClock)),
       c_submitted_(registry_.counter("serve.requests.submitted",
                                      obs::Determinism::kWallClock)),
       c_ok_(registry_.counter("serve.responses.ok",
@@ -119,26 +110,16 @@ Service::Service(ServiceOptions options)
                                         obs::Determinism::kWallClock)) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_request_threads < 1) options_.max_request_threads = 1;
-  // Every simulation this process runs from now on — cosim legs,
-  // validation runs, across all workers — shares compiled bytecode, and
-  // (under IFSYN_SIM_ENGINE=native) dlopen'd native artifacts.
-  sim::bytecode::install_process_cache(&program_cache_);
-  sim::native::install_native_cache(&native_cache_);
-  // The effective engine for this process's simulations, alongside the
-  // opt level /stats already reports: 0=vm, 1=ast, 2=native.
+  // Every simulation this service runs — cosim legs, conform runs,
+  // validation runs, across all workers — shares compiled bytecode.
+  options_.sim.programs = &program_cache_;
+  // The engine of this service's simulations, alongside the opt level
+  // /stats already reports: 0=vm, 1=ast.
   registry_.gauge("serve.sim_engine", obs::Determinism::kWallClock)
-      .set(static_cast<std::int64_t>(sim::engine_from_env()));
+      .set(static_cast<std::int64_t>(options_.sim.engine));
 }
 
-Service::~Service() {
-  stop();
-  if (sim::bytecode::process_cache() == &program_cache_) {
-    sim::bytecode::install_process_cache(nullptr);
-  }
-  if (sim::native::process_native_cache() == &native_cache_) {
-    sim::native::install_native_cache(nullptr);
-  }
-}
+Service::~Service() { stop(); }
 
 void Service::start() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -501,11 +482,7 @@ Response Service::execute_traced(const Request& request,
     // if the request turns out slow.
     obs::MetricsRegistry request_registry;
     obs::TraceSink private_sink;
-    // The service event log rides along so engine-level warnings (e.g.
-    // the sim's native-to-VM fallback) surface in the service's
-    // structured log, rate-limited at the log itself.
-    obs::ObsContext obs{&request_registry, nullptr, &ctx,
-                        options_.event_log};
+    obs::ObsContext obs{&request_registry, nullptr, &ctx};
     std::optional<std::ofstream> trace_out;
     if (!request.trace_file.empty()) {
       // Open before running the engine: an unwritable path is a
@@ -584,7 +561,8 @@ Response Service::execute_synth(const Request& request,
   std::optional<core::EquivalenceReport> equivalence;
   if (ro.cosim.value_or(true)) {
     Result<core::EquivalenceReport> eq = core::check_equivalence(
-        original, refined, ro.max_time.value_or(10'000'000), {}, obs);
+        original, refined, ro.max_time.value_or(10'000'000), {}, obs,
+        options_.sim);
     if (!eq.is_ok()) return status_response(request, eq.status());
     equivalence = std::move(eq).value();
   }
@@ -639,6 +617,7 @@ Response Service::execute_explore(const Request& request,
   options.cache_scope =
       estimation_scope(spec, options.compute_cycles_override);
   options.obs = obs;
+  options.sim = options_.sim;
 
   explore::Explorer explorer(*spec.system, options);
   Result<explore::ExplorationResult> result = explorer.run();
@@ -722,8 +701,9 @@ Response Service::execute_check(const Request& request,
   // stays inside the response's determinism contract.
   if (ro.conform.value_or(false)) {
     c_conform_requests_.add(1);
-    sim::SimulationRun run = sim::simulate(
-        system, ro.max_time.value_or(10'000'000), /*trace=*/true, obs);
+    sim::SimulationRun run =
+        sim::simulate(system, ro.max_time.value_or(10'000'000),
+                      /*trace=*/true, obs, options_.sim);
     if (!run.result.status.is_ok()) {
       return status_response(request, run.result.status);
     }
@@ -792,24 +772,11 @@ std::string Service::stats_json() const {
   program_cache["misses"] = static_cast<double>(program_cache_.misses());
   program_cache["evictions"] =
       static_cast<double>(program_cache_.evictions());
-  // The level new simulations compile at (IFSYN_SIM_OPT, read live).
-  // Artifacts are keyed per level, so mixed-level clients coexist in the
-  // same cache without ever sharing an artifact across levels.
-  program_cache["opt_level"] = static_cast<double>(
-      static_cast<int>(sim::bytecode::opt_level_from_env()));
+  // The level this service's simulations compile at (ServiceOptions::sim).
+  program_cache["opt_level"] =
+      static_cast<double>(static_cast<int>(options_.sim.opt));
   root["program_cache"] = Json(std::move(program_cache));
-  // The engine new simulations select (IFSYN_SIM_ENGINE, read live, like
-  // opt_level above). "native" may still fall back to the VM per run —
-  // sim.native.fallbacks / the event log carry that story.
-  root["sim_engine"] = std::string(sim::engine_name(sim::engine_from_env()));
-  JsonObject native_cache;
-  native_cache["size"] = static_cast<double>(native_cache_.size());
-  native_cache["capacity"] = static_cast<double>(native_cache_.capacity());
-  native_cache["hits"] = static_cast<double>(native_cache_.hits());
-  native_cache["misses"] = static_cast<double>(native_cache_.misses());
-  native_cache["evictions"] = static_cast<double>(native_cache_.evictions());
-  native_cache["compiles"] = static_cast<double>(native_cache_.compiles());
-  root["native_cache"] = Json(std::move(native_cache));
+  root["sim_engine"] = std::string(sim::engine_name(options_.sim.engine));
   JsonObject counters;
   counters["submitted"] = static_cast<double>(c_submitted_.value());
   counters["ok"] = static_cast<double>(c_ok_.value());

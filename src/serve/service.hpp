@@ -21,9 +21,10 @@
 //   - SpecInterner        parsed spec::Systems by content hash
 //   - EstimationCache     per-group Eq. 1 estimates, scope-qualified by
 //                         spec hash + calibration fingerprint
-//   - sim ProgramCache    compiled bytecode, installed process-wide so
-//                         every simulation (cosim legs, validation runs)
-//                         reuses compiled artifacts across requests
+//   - sim ProgramCache    compiled bytecode, passed as SimConfig::programs
+//                         to every simulation the service runs (cosim
+//                         legs, conform runs, validation runs) so they
+//                         reuse compiled artifacts across requests
 //
 // Determinism contract: a request's `report` and `spec_hash` are
 // byte-identical whether the request runs alone, concurrently with
@@ -72,8 +73,8 @@
 //     otherwise those spans are already in the service trace and the
 //     capture holds the request's lifecycle summary.
 //
-// One Service per process: the bytecode program cache installs itself as
-// the process-wide store (sim/bytecode/program_cache) for its lifetime.
+// A Service holds no process-global state: several differently configured
+// Services may run side by side in one process.
 #pragma once
 
 #include <atomic>
@@ -95,7 +96,7 @@
 #include "serve/request.hpp"
 #include "serve/spec_intern.hpp"
 #include "sim/bytecode/program_cache.hpp"
-#include "sim/native/artifact_cache.hpp"
+#include "sim/config.hpp"
 #include "util/status.hpp"
 
 namespace ifsyn::serve {
@@ -110,11 +111,9 @@ struct ServiceOptions {
   std::size_t spec_cache_capacity = 64;
   std::size_t estimation_cache_capacity = 4096;
   std::size_t program_cache_capacity = 128;
-  /// Native .so artifacts (memory-resident modules AND on-disk files) —
-  /// smaller than program_cache_capacity because each entry is a mapped
-  /// shared object, not a bytecode vector. Only consulted when requests
-  /// run with IFSYN_SIM_ENGINE=native.
-  std::size_t native_cache_capacity = 32;
+  /// Engine and opt level of every simulation the service runs. `programs`
+  /// is ignored: the service always uses its own program cache.
+  sim::SimConfig sim;
   /// Default per-request deadline (ms); 0 = no deadline. A request's own
   /// deadline_ms overrides.
   std::uint64_t default_deadline_ms = 0;
@@ -220,7 +219,6 @@ class Service {
   SpecInterner interner_;
   explore::EstimationCache estimation_cache_;
   sim::bytecode::ProgramCache program_cache_;
-  sim::native::NativeArtifactCache native_cache_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -29,7 +29,7 @@ CompiledSystem compile(const spec::System& system, const Kernel& kernel);
 /// `level`. kNone returns the compiler output verbatim (bookkeeping
 /// fields stamped); kFull rewrites recognized sequences into
 /// superinstructions. This is the overload Vm::setup uses, with the level
-/// taken from IFSYN_SIM_OPT via opt_level_from_env().
+/// taken from SimConfig::opt.
 CompiledSystem compile(const spec::System& system, const Kernel& kernel,
                        OptLevel level);
 

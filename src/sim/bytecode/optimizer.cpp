@@ -33,8 +33,6 @@
 namespace ifsyn::sim::bytecode {
 
 OptLevel opt_level_from_env() {
-  // Read per call (like engine_from_env) so tests and mixed-level serve
-  // clients can flip it between simulations.
   const char* v = std::getenv("IFSYN_SIM_OPT");
   if (v != nullptr && v[0] == '0' && v[1] == '\0') return OptLevel::kNone;
   return OptLevel::kFull;

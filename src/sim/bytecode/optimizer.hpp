@@ -27,16 +27,17 @@
 //
 // Every superinstruction carries the dispatch count of the sequence it
 // replaced; the VM charges that weight to sim.vm.executed_ops, keeping
-// the deterministic metrics byte-identical across IFSYN_SIM_OPT=0/1.
+// the deterministic metrics byte-identical across opt levels 0 and 1.
 #pragma once
 
 #include "sim/bytecode/program.hpp"
 
 namespace ifsyn::sim::bytecode {
 
-/// Optimization level selected by the IFSYN_SIM_OPT environment variable:
+/// Parses the IFSYN_SIM_OPT environment variable for a front end's main:
 /// "0" disables the pass (compiler output runs verbatim), anything else —
-/// including unset — enables it. Read per call, like engine_from_env.
+/// including unset — enables it. The simulator itself never reads the
+/// environment; callers pass the level as SimConfig::opt.
 OptLevel opt_level_from_env();
 
 /// Rewrite `cs` in place at `level`, recording opt_level, opt stats and

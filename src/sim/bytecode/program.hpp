@@ -80,7 +80,7 @@ enum class Op : std::uint8_t {
 
   // ---- superinstructions (emitted only by the optimizer pass) ----
   // The compiler never emits these; optimizer.cpp rewrites recognized
-  // instruction sequences into them post-compile (IFSYN_SIM_OPT=1). Every
+  // instruction sequences into them post-compile (OptLevel::kFull). Every
   // superinstruction performs the same architectural writes and raises
   // the same errors as the sequence it replaces, and carries the
   // sequence's original dispatch count as a weight so sim.vm.executed_ops
@@ -243,7 +243,7 @@ struct ProcProgram {
 /// How aggressively the post-compile optimizer (optimizer.hpp) rewrote a
 /// CompiledSystem. Part of the artifact so the ProgramCache can key on it.
 enum class OptLevel : std::uint8_t {
-  kNone = 0,  ///< compiler output verbatim (IFSYN_SIM_OPT=0)
+  kNone = 0,  ///< compiler output verbatim
   kFull = 1,  ///< superinstructions + peephole fusions (default)
 };
 

@@ -1,7 +1,5 @@
 #include "sim/bytecode/program_cache.hpp"
 
-#include <atomic>
-
 #include "spec/printer.hpp"
 
 namespace ifsyn::sim::bytecode {
@@ -27,8 +25,6 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-std::atomic<ProgramCache*> g_process_cache{nullptr};
-
 }  // namespace
 
 std::string system_cache_key(const spec::System& system, OptLevel level) {
@@ -36,9 +32,9 @@ std::string system_cache_key(const spec::System& system, OptLevel level) {
   // and processes — everything compile() lowers. Appended explicitly: two
   // kernel-relevant facts the printer does not render (which buses
   // declare locks — BusId interning order depends on the arbitrated set),
-  // the optimization level (a process serving mixed IFSYN_SIM_OPT
-  // requests keeps one artifact per level and can never hand an optimized
-  // program to a reference run), and a version salt so cached artifacts
+  // the optimization level (a store shared by callers at mixed levels
+  // keeps one artifact per level and can never hand an optimized program
+  // to a reference run), and a version salt so cached artifacts
   // never survive an ISA change.
   std::string text = spec::print_system(system);
   text += "\n|locks:";
@@ -126,14 +122,6 @@ std::shared_ptr<const CompiledSystem> ProgramCache::get_or_compile(
 std::size_t ProgramCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();
-}
-
-void install_process_cache(ProgramCache* cache) {
-  g_process_cache.store(cache, std::memory_order_release);
-}
-
-ProgramCache* process_cache() {
-  return g_process_cache.load(std::memory_order_acquire);
 }
 
 }  // namespace ifsyn::sim::bytecode

@@ -1,6 +1,6 @@
 // ifsyn/sim/bytecode/program_cache.hpp
 //
-// Process-wide, size-bounded, concurrent store of compiled bytecode
+// Size-bounded, concurrent store of compiled bytecode
 // artifacts, so repeated simulations of the same system (the serve front
 // end's workload, repeated co-simulations inside one exploration, warm
 // batch passes) reuse one CompiledSystem instead of recompiling per run.
@@ -22,9 +22,11 @@
 // block on a single compile. A capacity bounds memory via LRU eviction;
 // hit/miss/eviction counts land on caller-supplied obs counters.
 //
-// Nothing consults a cache by default — one-shot CLI runs compile exactly
-// as before. A front end opts the whole process in with
-// install_process_cache(); Vm::setup then routes compiles through it.
+// Nothing consults a cache by default — one-shot CLI runs compile
+// privately. A front end that owns a cache passes it as
+// SimConfig::programs (sim/config.hpp); Vm::setup then routes compiles
+// through it. Several caches (one per serve::Service, say) coexist in one
+// process.
 #pragma once
 
 #include <cstdint>
@@ -97,16 +99,5 @@ class ProgramCache {
   obs::Counter* misses_;
   obs::Counter* evictions_;
 };
-
-/// Install `cache` as the process-wide bytecode store consulted by every
-/// subsequent Vm::setup (nullptr uninstalls). The caller keeps ownership
-/// and must keep the cache alive while installed. Not synchronized with
-/// concurrently running setups — install once at front-end startup,
-/// before workers spawn.
-void install_process_cache(ProgramCache* cache);
-
-/// The installed process-wide cache, or nullptr (the default: every Vm
-/// compiles privately, the pre-serve behavior).
-ProgramCache* process_cache();
 
 }  // namespace ifsyn::sim::bytecode

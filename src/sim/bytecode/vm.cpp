@@ -15,24 +15,23 @@
 
 #include "obs/metrics.hpp"
 #include "sim/bytecode/compiler.hpp"
-#include "sim/bytecode/optimizer.hpp"
 #include "sim/bytecode/program_cache.hpp"
 #include "util/assert.hpp"
 
 namespace ifsyn::sim::bytecode {
 
-Vm::Vm(const spec::System& system, Kernel& kernel)
-    : system_(system), kernel_(kernel) {}
+Vm::Vm(const spec::System& system, Kernel& kernel, SimConfig config)
+    : system_(system), kernel_(kernel), config_(config) {}
 
 void Vm::setup() {
   obs::MetricsRegistry* metrics = kernel_.obs().metrics;
 
-  const OptLevel level = opt_level_from_env();
+  const OptLevel level = config_.opt;
   const auto t0 = std::chrono::steady_clock::now();
-  if (ProgramCache* cache = process_cache()) {
-    // The key incorporates the optimization level: a process serving
-    // mixed IFSYN_SIM_OPT requests keeps one artifact per level and can
-    // never hand an optimized program to a reference-engine run.
+  if (ProgramCache* cache = config_.programs) {
+    // The key incorporates the optimization level: one store shared by
+    // differently configured callers keeps one artifact per level and can
+    // never hand an optimized program to a reference-level run.
     compiled_ = cache->get_or_compile(
         system_cache_key(system_, level),
         [this, level] { return compile(system_, kernel_, level); });
@@ -57,7 +56,7 @@ void Vm::setup() {
         .add(compiled_->total_instructions);
     executed_ops_ = &metrics->counter("sim.vm.executed_ops");
     // Optimizer introspection. All wall-clock-classed: they vary with
-    // IFSYN_SIM_OPT, and the deterministic report tables must stay
+    // the opt level, and the deterministic report tables must stay
     // byte-identical across levels (executed_ops does, via weights).
     metrics->gauge("sim.vm.opt.level", obs::Determinism::kWallClock)
         .set(static_cast<std::int64_t>(compiled_->opt_level));

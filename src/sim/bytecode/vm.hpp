@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/bytecode/program.hpp"
+#include "sim/config.hpp"
 #include "sim/kernel.hpp"
 #include "spec/system.hpp"
 
@@ -36,11 +37,12 @@ namespace ifsyn::sim::bytecode {
 
 class Vm {
  public:
-  /// Binds to a system and kernel; both must outlive the Vm.
-  Vm(const spec::System& system, Kernel& kernel);
+  /// Binds to a system and kernel; both (and config.programs, if set)
+  /// must outlive the Vm. Only config.opt and config.programs matter here.
+  Vm(const spec::System& system, Kernel& kernel, SimConfig config = {});
 
-  /// Compile the system (or fetch the artifact from the installed
-  /// process-wide ProgramCache — see program_cache.hpp) and register one
+  /// Compile the system at config.opt (or fetch the artifact from
+  /// config.programs — see program_cache.hpp) and register one
   /// process coroutine per compiled program. Call once, after the
   /// kernel's signals and bus locks are declared (the compiler interns
   /// through the kernel) and before Kernel::run. Records compile time and
@@ -122,8 +124,9 @@ class Vm {
 
   const spec::System& system_;
   Kernel& kernel_;
-  /// Immutable, possibly shared with other Vms via the process-wide
-  /// ProgramCache; all mutable state lives in states_.
+  SimConfig config_;
+  /// Immutable, possibly shared with other Vms via a ProgramCache; all
+  /// mutable state lives in states_.
   std::shared_ptr<const CompiledSystem> compiled_;
   std::deque<ExecState> states_;
   std::vector<spec::Value> globals_;  ///< shared by all processes

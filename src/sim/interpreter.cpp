@@ -4,9 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/log.hpp"
 #include "sim/bytecode/vm.hpp"
-#include "sim/native/engine.hpp"
 #include "util/assert.hpp"
 
 namespace ifsyn::sim {
@@ -23,7 +21,6 @@ const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kVm: return "vm";
     case Engine::kAst: return "ast";
-    case Engine::kNative: return "native";
   }
   return "vm";
 }
@@ -35,31 +32,14 @@ Engine engine_from_env(std::string* bad_value) {
     return Engine::kVm;
   }
   if (std::strcmp(env, "ast") == 0) return Engine::kAst;
-  if (std::strcmp(env, "native") == 0) return Engine::kNative;
-  // Unknown spelling: degrade to the portable default, but loudly —
-  // setup() turns this into a structured warning naming both the bad
-  // value and the engine actually chosen.
+  // Unknown spelling: degrade to the default, and let the caller say so.
   if (bad_value) *bad_value = env;
   return Engine::kVm;
 }
 
-Interpreter::Interpreter(const spec::System& system, Kernel& kernel)
-    : system_(system), kernel_(kernel) {
-  engine_ = engine_from_env(&bad_engine_env_);
-}
-
 Interpreter::Interpreter(const spec::System& system, Kernel& kernel,
-                         Engine engine)
-    : system_(system), kernel_(kernel), engine_(engine) {
-  // simulate() resolves its default engine through engine_from_env() and
-  // lands here; re-probe so an unknown env spelling still gets its
-  // warning — but only when the VM really is the engine in effect (an
-  // explicit non-VM choice was not decided by the bad value).
-  std::string bad;
-  if (engine_from_env(&bad) == engine_ && engine_ == Engine::kVm) {
-    bad_engine_env_ = std::move(bad);
-  }
-}
+                         SimConfig config)
+    : system_(system), kernel_(kernel), config_(config) {}
 
 Interpreter::~Interpreter() = default;
 
@@ -77,54 +57,17 @@ Status Interpreter::setup() {
     if (b->arbitrated) kernel_.add_bus_lock(b->name);
   }
 
-  if (!bad_engine_env_.empty()) {
-    if (obs::EventLog* log = kernel_.obs().log) {
-      log->log(obs::Severity::kWarn, "sim",
-               "unknown IFSYN_SIM_ENGINE value; using the bytecode VM",
-               {{"value", bad_engine_env_}, {"engine", "vm"}});
-    }
-  }
-
-  if (engine_ == Engine::kNative) {
-    // The native engine is all-or-nothing: a failed setup leaves the
-    // kernel untouched, so falling through to the VM block below produces
-    // a run byte-identical to one that never asked for native.
-    auto native = std::make_unique<native::NativeEngine>(system_, kernel_);
-    std::string why;
-    if (native->setup(&why)) {
-      native_ = std::move(native);
-      if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-        metrics->gauge("sim.engine", obs::Determinism::kWallClock)
-            .set(static_cast<std::int64_t>(engine_));
-      }
-      return Status::ok();
-    }
-    if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-      metrics
-          ->counter("sim.native.fallbacks", obs::Determinism::kWallClock)
-          .add(1);
-    }
-    if (obs::EventLog* log = kernel_.obs().log) {
-      // Rate-limited by the log itself: a serve process hammered with
-      // requests on a toolchain-less box warns a few times, not per run.
-      log->log(obs::Severity::kWarn, "sim",
-               "native engine unavailable; falling back to the bytecode VM",
-               {{"reason", why}, {"engine", "vm"}});
-    }
-    engine_ = Engine::kVm;
-  }
-
   if (obs::MetricsRegistry* metrics = kernel_.obs().metrics) {
-    // The *effective* engine (post-fallback), where the opt level already
-    // appears; wall-clock-classed for the same reason sim.vm.opt.level is.
+    // Wall-clock-classed for the same reason sim.vm.opt.level is: the
+    // deterministic report tables must not depend on the engine.
     metrics->gauge("sim.engine", obs::Determinism::kWallClock)
-        .set(static_cast<std::int64_t>(engine_));
+        .set(static_cast<std::int64_t>(config_.engine));
   }
 
-  if (engine_ == Engine::kVm) {
+  if (config_.engine == Engine::kVm) {
     // Compile-and-register path: the Vm owns global storage, compiled
     // programs and process registration; value_of/set_value delegate.
-    vm_ = std::make_unique<bytecode::Vm>(system_, kernel_);
+    vm_ = std::make_unique<bytecode::Vm>(system_, kernel_, config_);
     vm_->setup();
     return Status::ok();
   }
@@ -248,7 +191,6 @@ void Interpreter::intern_block(const spec::Block& block) {
 }
 
 const spec::Value& Interpreter::value_of(const std::string& variable) const {
-  if (native_) return native_->value_of(variable);
   if (vm_) return vm_->value_of(variable);
   auto it = globals_.find(variable);
   IFSYN_ASSERT_MSG(it != globals_.end(), "unknown variable " << variable);
@@ -256,10 +198,6 @@ const spec::Value& Interpreter::value_of(const std::string& variable) const {
 }
 
 void Interpreter::set_value(const std::string& variable, spec::Value value) {
-  if (native_) {
-    native_->set_value(variable, std::move(value));
-    return;
-  }
   if (vm_) {
     vm_->set_value(variable, std::move(value));
     return;
@@ -588,7 +526,7 @@ SimTask Interpreter::exec_block(const Block& block, ProcState& state) {
 
 SimulationRun simulate(const spec::System& system, std::uint64_t max_time,
                        bool trace, const obs::ObsContext& obs,
-                       Engine engine) {
+                       SimConfig config) {
   // One span per simulation run; inside a service request it carries the
   // owning request's trace id, so cosim legs show up attributed in a
   // service-wide trace.
@@ -597,7 +535,7 @@ SimulationRun simulate(const spec::System& system, std::uint64_t max_time,
   run.kernel = std::make_unique<Kernel>();
   run.kernel->enable_trace(trace);
   run.kernel->set_obs(obs);
-  run.interpreter = std::make_unique<Interpreter>(system, *run.kernel, engine);
+  run.interpreter = std::make_unique<Interpreter>(system, *run.kernel, config);
   Status setup = run.interpreter->setup();
   if (!setup.is_ok()) {
     run.result.status = setup;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/config.hpp"
 #include "sim/kernel.hpp"
 #include "sim/scalar.hpp"
 #include "spec/system.hpp"
@@ -38,52 +39,30 @@ namespace ifsyn::sim {
 namespace bytecode {
 class Vm;
 }
-namespace native {
-class NativeEngine;
-}
 
-/// Which execution engine runs the spec's processes.
-///
-/// kVm (default) compiles every process to register bytecode once at setup
-/// and runs a dispatch loop (sim/bytecode/); kAst walks the statement/
-/// expression trees directly — slower, but structurally close to the IR,
-/// so it serves as the reference the VM is differentially fuzzed against;
-/// kNative additionally lowers the bytecode to C++ compiled into a
-/// dlopen'd shared object (sim/native/), falling back to kVm — with
-/// identical observable output — whenever the toolchain, the emission
-/// gate, or the loader says no.
-enum class Engine {
-  kVm,
-  kAst,
-  kNative,
-};
-
-/// "vm" / "ast" / "native" — the spelling IFSYN_SIM_ENGINE uses, also
-/// surfaced by serve /stats and the sim.engine gauge.
+/// "vm" / "ast" — the spelling IFSYN_SIM_ENGINE uses, also surfaced by
+/// serve /stats and the sim.engine gauge.
 const char* engine_name(Engine engine);
 
-/// Engine selected by the IFSYN_SIM_ENGINE environment variable: "ast"
-/// picks the AST reference engine, "native" the AOT native engine, "vm",
-/// empty or unset the bytecode VM. Any other value picks the VM and, when
-/// `bad_value` is non-null, reports the unrecognized string through it
-/// (empty = the value was recognized) so the caller can emit a structured
-/// warning — Interpreter::setup does. Read per call — tests toggle it
-/// with setenv.
+/// Parses the IFSYN_SIM_ENGINE environment variable for a front end's
+/// main: "ast" picks the AST reference engine; "vm", empty or unset the
+/// bytecode VM. Any other value picks the VM and, when `bad_value` is
+/// non-null, reports the unrecognized string through it (empty = the value
+/// was recognized) so the caller can warn. The simulator itself never
+/// reads the environment; callers pass the result in a SimConfig.
 Engine engine_from_env(std::string* bad_value = nullptr);
 
 class Interpreter {
  public:
-  /// Binds the interpreter to a system and a kernel, with the engine taken
-  /// from IFSYN_SIM_ENGINE. Both must outlive the interpreter and the
-  /// kernel's run.
-  Interpreter(const spec::System& system, Kernel& kernel);
-
-  /// Same, with an explicit engine choice.
-  Interpreter(const spec::System& system, Kernel& kernel, Engine engine);
+  /// Binds the interpreter to a system and a kernel, run as `config`
+  /// says. Both (and config.programs, if set) must outlive the interpreter
+  /// and the kernel's run.
+  Interpreter(const spec::System& system, Kernel& kernel,
+              SimConfig config = {});
 
   ~Interpreter();
 
-  Engine engine() const { return engine_; }
+  Engine engine() const { return config_.engine; }
 
   /// Declare the system's signals, bus locks and processes on the kernel
   /// and initialize variable storage. Call once before Kernel::run.
@@ -97,13 +76,8 @@ class Interpreter {
 
   /// The bytecode engine behind this interpreter, for artifact
   /// introspection (e.g. tests asserting on the optimizer's rewrites).
-  /// Engaged after setup() when engine() == kVm — including after a
-  /// native-to-VM fallback; nullptr for kAst and a live native engine.
+  /// Engaged after setup() when engine() == kVm; nullptr for kAst.
   const bytecode::Vm* vm() const { return vm_.get(); }
-
-  /// The native engine, engaged after setup() when engine() == kNative
-  /// (i.e. the native path actually came up); nullptr otherwise.
-  const native::NativeEngine* native() const { return native_.get(); }
 
  private:
   struct Frame {
@@ -149,16 +123,10 @@ class Interpreter {
 
   const spec::System& system_;
   Kernel& kernel_;
-  Engine engine_ = Engine::kVm;
-  /// Unrecognized IFSYN_SIM_ENGINE value captured at construction;
-  /// setup() turns it into a structured warning (it has the obs hooks).
-  std::string bad_engine_env_;
-  /// Engaged iff engine_ == kVm after setup(); owns compiled programs and
+  SimConfig config_;
+  /// Engaged iff engine() == kVm after setup(); owns compiled programs and
   /// all VM-side storage (globals live in the Vm then, not in globals_).
   std::unique_ptr<bytecode::Vm> vm_;
-  /// Engaged iff engine_ == kNative after setup() (the native .so came
-  /// up); owns the module, the flat word storage and process registration.
-  std::unique_ptr<native::NativeEngine> native_;
   std::map<std::string, spec::Value> globals_;
   std::map<std::string, ProcState> proc_states_;
   PtrMap<SignalId> signal_refs_;
@@ -179,12 +147,13 @@ struct SimulationRun {
 
 /// Simulate a system to quiescence. `trace` enables waveform capture.
 /// `obs` (optional) attaches a metrics registry to the kernel; counters
-/// land under the "sim." prefix (see Kernel::set_obs). `engine` defaults
-/// to the IFSYN_SIM_ENGINE selection (bytecode VM unless overridden).
+/// land under the "sim." prefix (see Kernel::set_obs). `config` picks the
+/// engine, opt level and program store (default: optimized bytecode VM,
+/// private compile).
 SimulationRun simulate(const spec::System& system,
                        std::uint64_t max_time = 1'000'000,
                        bool trace = false,
                        const obs::ObsContext& obs = {},
-                       Engine engine = engine_from_env());
+                       SimConfig config = {});
 
 }  // namespace ifsyn::sim

@@ -48,7 +48,7 @@ ConformanceReport simulate_and_mine(const System& reference,
                                     sim::Engine engine = sim::Engine::kVm) {
   sim::SimulationRun run =
       sim::simulate(to_run, /*max_time=*/1'000'000, /*trace=*/true, {},
-                    engine);
+                    {engine});
   EXPECT_TRUE(run.result.status.is_ok()) << run.result.status;
   return mine_and_diff(reference, run.kernel->trace());
 }
@@ -74,8 +74,7 @@ TEST(TraceMinerTest, Fig3IsCleanUnderEveryProtocol) {
 
 TEST(TraceMinerTest, Fig3IsCleanUnderEveryEngine) {
   System system = refined_fig3();
-  for (sim::Engine engine :
-       {sim::Engine::kVm, sim::Engine::kAst, sim::Engine::kNative}) {
+  for (sim::Engine engine : {sim::Engine::kVm, sim::Engine::kAst}) {
     const ConformanceReport report =
         simulate_and_mine(system, system, engine);
     EXPECT_TRUE(report.clean())

@@ -267,46 +267,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence,
                          ::testing::Range(0, fuzz_iterations()));
 
 // ---- engine differential testing ------------------------------------------
-// Every fuzzed system (original and its refined form) runs four ways —
-// the optimized bytecode VM (IFSYN_SIM_OPT=1), the unoptimized VM
-// (IFSYN_SIM_OPT=0), the AST reference interpreter, and the AOT native
-// engine — with tracing on, and all four runs must agree byte-for-byte:
-// status, end time, every committed signal change, per-process
-// statistics, and the final value of every system variable. This is the
-// primary correctness harness for the VM's lowering pass, the
-// superinstruction optimizer, and the native C++ emitter. (Where the
-// toolchain is unavailable the native leg degrades to a VM run by
-// contract, which the oracle then verifies trivially — the dedicated
-// no-toolchain test in tests/sim/native_engine_test.cpp pins down that
-// degradation explicitly.)
+// Every fuzzed system (original and its refined form) runs three ways —
+// the optimized bytecode VM, the unoptimized VM and the AST reference
+// interpreter — with tracing on, and all three runs must agree
+// byte-for-byte: status, end time, every committed signal change,
+// per-process statistics, and the final value of every system variable.
+// This is the primary correctness harness for the VM's lowering pass and
+// the superinstruction optimizer.
 
-/// Forces IFSYN_SIM_OPT for one run; restores the previous value (CI runs
-/// whole suites under =0, which must survive this test).
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-/// Run `system` on one engine with tracing enabled.
-sim::SimulationRun run_engine(const System& system, sim::Engine engine) {
+/// Run `system` under `config` with tracing enabled.
+sim::SimulationRun run_engine(const System& system, sim::SimConfig config) {
   return sim::simulate(system, 10'000'000, /*trace=*/true, /*obs=*/{},
-                       engine);
+                       config);
 }
 
 void expect_two_runs_identical(const System& system,
@@ -357,24 +329,15 @@ void expect_two_runs_identical(const System& system,
 void expect_runs_identical(const System& system, std::uint64_t seed,
                            const char* label,
                            bool mine_conformance = false) {
-  sim::SimulationRun vm_opt = [&] {
-    ScopedSimOpt opt("1");
-    return run_engine(system, sim::Engine::kVm);
-  }();
-  sim::SimulationRun vm_ref = [&] {
-    ScopedSimOpt opt("0");
-    return run_engine(system, sim::Engine::kVm);
-  }();
-  const sim::SimulationRun ast = run_engine(system, sim::Engine::kAst);
-  sim::SimulationRun native = [&] {
-    ScopedSimOpt opt("1");
-    return run_engine(system, sim::Engine::kNative);
-  }();
+  const sim::SimulationRun vm_opt =
+      run_engine(system, {sim::Engine::kVm, sim::bytecode::OptLevel::kFull});
+  const sim::SimulationRun vm_ref =
+      run_engine(system, {sim::Engine::kVm, sim::bytecode::OptLevel::kNone});
+  const sim::SimulationRun ast = run_engine(system, {sim::Engine::kAst});
   SCOPED_TRACE(::testing::Message()
                << "seed " << seed << " (" << label << ")");
   expect_two_runs_identical(system, vm_opt, "vm+opt", ast, "ast");
   expect_two_runs_identical(system, vm_opt, "vm+opt", vm_ref, "vm");
-  expect_two_runs_identical(system, vm_opt, "vm+opt", native, "native");
 
   // For refined systems, close the second loop: the trace each engine
   // committed must conform to the statically extracted protocol
@@ -385,10 +348,7 @@ void expect_runs_identical(const System& system, std::uint64_t seed,
   const struct {
     const sim::SimulationRun* run;
     const char* name;
-  } legs[] = {{&vm_opt, "vm+opt"},
-              {&vm_ref, "vm"},
-              {&ast, "ast"},
-              {&native, "native"}};
+  } legs[] = {{&vm_opt, "vm+opt"}, {&vm_ref, "vm"}, {&ast, "ast"}};
   for (const auto& leg : legs) {
     if (!leg.run->result.status.is_ok()) continue;
     const check::ConformanceReport mined =

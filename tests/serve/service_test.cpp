@@ -156,14 +156,11 @@ TEST(ServiceTest, ReportsAreByteIdenticalAloneConcurrentlyAndWarm) {
   }
   service.stop();
 
-  // Warm shared stores were actually exercised. (The program cache only
-  // sees traffic on the VM engine; the AST reference leg bypasses it.)
+  // Warm shared stores were actually exercised.
   const obs::MetricsSnapshot snapshot = service.metrics_snapshot();
   EXPECT_GT(snapshot.find("serve.spec_cache.hits")->counter, 0u);
   EXPECT_GT(snapshot.find("serve.estimation_cache.hits")->counter, 0u);
-  if (sim::engine_from_env() == sim::Engine::kVm) {
-    EXPECT_GT(snapshot.find("serve.program_cache.hits")->counter, 0u);
-  }
+  EXPECT_GT(snapshot.find("serve.program_cache.hits")->counter, 0u);
 }
 
 TEST(ServiceTest, SynthReportIdenticalOnProgramCacheHit) {
@@ -180,11 +177,9 @@ TEST(ServiceTest, SynthReportIdenticalOnProgramCacheHit) {
   // The report embeds deterministic sim metrics (vm compile counts
   // included); a bytecode-cache hit must not change a byte.
   EXPECT_EQ(cold.report, warm.report);
-  if (sim::engine_from_env() == sim::Engine::kVm) {
-    EXPECT_GT(service.metrics_snapshot().find("serve.program_cache.hits")
-                  ->counter,
-              0u);
-  }
+  EXPECT_GT(
+      service.metrics_snapshot().find("serve.program_cache.hits")->counter,
+      0u);
 }
 
 TEST(ServiceTest, SaturatedQueueRejectsStructurallyAndNeverHangs) {
@@ -429,10 +424,9 @@ TEST(ServiceTest, StatsOpAnswersOverTheWireFormat) {
   EXPECT_TRUE(pc.count("size"));
   EXPECT_TRUE(pc.count("hits"));
   EXPECT_TRUE(pc.count("misses"));
-  // The live IFSYN_SIM_OPT level (0 or 1) new compiles run at.
+  // The level the service's simulations compile at (default: optimized).
   ASSERT_TRUE(pc.count("opt_level"));
-  const double level = pc.at("opt_level").as_number();
-  EXPECT_TRUE(level == 0.0 || level == 1.0) << level;
+  EXPECT_EQ(pc.at("opt_level").as_number(), 1.0);
 
   // The stats op is parseable from the wire like any other request.
   Result<Json> wire = parse_json(R"({"id": "r5", "op": "stats"})");
@@ -443,41 +437,46 @@ TEST(ServiceTest, StatsOpAnswersOverTheWireFormat) {
 }
 
 TEST(ServiceTest, StatsAndMetricsReportTheActiveSimEngine) {
-  // The active engine rides alongside opt_level everywhere it already
-  // appears: /stats JSON (by name), the native artifact-cache block, and
-  // the prometheus text (serve.sim_engine gauge: 0=vm, 1=ast, 2=native).
-  for (const char* engine : {"vm", "native"}) {
-    ::setenv("IFSYN_SIM_ENGINE", engine, 1);
-    Service service;
+  // ServiceOptions::sim shows up wherever the service describes itself:
+  // /stats JSON (engine by name, opt level under program_cache) and the
+  // prometheus text (serve.sim_engine gauge: 0=vm, 1=ast).
+  struct Case {
+    sim::SimConfig config;
+    const char* engine;
+    double opt_level;
+    const char* gauge;
+  };
+  const Case cases[] = {
+      {{sim::Engine::kVm, sim::bytecode::OptLevel::kFull}, "vm", 1, "0"},
+      {{sim::Engine::kVm, sim::bytecode::OptLevel::kNone}, "vm", 0, "0"},
+      {{sim::Engine::kAst}, "ast", 1, "1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.engine);
+    ServiceOptions options;
+    options.sim = c.config;
+    Service service(options);
     Request stats;
     stats.id = "s";
     stats.op = RequestOp::kStats;
     Response response = service.execute(stats);
-    ::unsetenv("IFSYN_SIM_ENGINE");
     ASSERT_TRUE(response.ok) << response.error.message;
     Result<Json> parsed = parse_json(response.report);
     ASSERT_TRUE(parsed.is_ok()) << response.report;
     const JsonObject& root = parsed->as_object();
     ASSERT_TRUE(root.count("sim_engine"));
-    EXPECT_EQ(root.at("sim_engine").as_string(), engine);
-    ASSERT_TRUE(root.count("native_cache"));
-    const JsonObject& nc = root.at("native_cache").as_object();
-    EXPECT_TRUE(nc.count("hits"));
-    EXPECT_TRUE(nc.count("misses"));
-    EXPECT_TRUE(nc.count("compiles"));
+    EXPECT_EQ(root.at("sim_engine").as_string(), c.engine);
+    EXPECT_EQ(root.at("program_cache").as_object().at("opt_level").as_number(),
+              c.opt_level);
 
     Request metrics;
     metrics.id = "m";
     metrics.op = RequestOp::kMetrics;
-    ::setenv("IFSYN_SIM_ENGINE", engine, 1);
     Response text = service.execute(metrics);
-    ::unsetenv("IFSYN_SIM_ENGINE");
     ASSERT_TRUE(text.ok) << text.error.message;
-    const std::string needle =
-        std::string("serve_sim_engine ") +
-        (std::string(engine) == "native" ? "2" : "0");
+    const std::string needle = std::string("serve_sim_engine ") + c.gauge;
     EXPECT_NE(text.report.find(needle), std::string::npos)
-        << engine << " gauge missing from:\n"
+        << c.engine << " gauge missing from:\n"
         << text.report;
   }
 }

@@ -3,7 +3,7 @@
 // pattern capture/unification semantics, peephole fusions, bulk-transfer
 // recognition on protocol-refined systems, the interior-jump-target
 // safety rule, and the byte-identity contract: deterministic simulation
-// results and sim.vm.executed_ops must not depend on IFSYN_SIM_OPT.
+// results and sim.vm.executed_ops must not depend on the opt level.
 #include "sim/bytecode/optimizer.hpp"
 
 #include <gtest/gtest.h>
@@ -38,29 +38,6 @@ int count_op(const CompiledSystem& cs, Op op) {
   for (const ProcProgram& p : cs.processes) n += count_op(p, op);
   return n;
 }
-
-/// Forces IFSYN_SIM_OPT for one scope; restores the previous value (CI
-/// runs whole suites under =0, which must survive these tests).
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      ::setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 // ---- matcher --------------------------------------------------------------
 
@@ -140,13 +117,13 @@ TEST(PatternTest, LiteralCellsAndOpcodeAlternatives) {
 // ---- env selection --------------------------------------------------------
 
 TEST(OptimizerEnvTest, EnvVariablePicksLevel) {
-  ScopedSimOpt restore_after("1");  // snapshots + restores the prior state
   ::unsetenv("IFSYN_SIM_OPT");
   EXPECT_EQ(opt_level_from_env(), OptLevel::kFull) << "default is optimized";
   ::setenv("IFSYN_SIM_OPT", "0", 1);
   EXPECT_EQ(opt_level_from_env(), OptLevel::kNone);
   ::setenv("IFSYN_SIM_OPT", "1", 1);
   EXPECT_EQ(opt_level_from_env(), OptLevel::kFull);
+  ::unsetenv("IFSYN_SIM_OPT");
 }
 
 // ---- peephole rewrites ----------------------------------------------------
@@ -327,11 +304,10 @@ System refine(const System& s, ProtocolKind kind, int bus_width) {
 /// which declares the signals and bus locks on the kernel before the
 /// bytecode compiler interns them (a bare compile() would lower every
 /// signal reference to a lazy kTrap instead). Returns a copy of the
-/// artifact compiled at the given IFSYN_SIM_OPT setting.
-CompiledSystem compile_via_setup(const System& system, const char* opt) {
-  ScopedSimOpt scoped(opt);
+/// artifact compiled at `level`.
+CompiledSystem compile_via_setup(const System& system, OptLevel level) {
   Kernel kernel;
-  Interpreter interp(system, kernel, Engine::kVm);
+  Interpreter interp(system, kernel, {Engine::kVm, level});
   const Status status = interp.setup();
   EXPECT_TRUE(status.is_ok()) << status;
   return interp.vm()->compiled();
@@ -343,11 +319,11 @@ TEST(OptimizerTest, RecognizesBulkTransferLoops) {
        {ProtocolKind::kFullHandshake, ProtocolKind::kHalfHandshake}) {
     const System refined = refine(base, kind, 5);
 
-    const CompiledSystem ref = compile_via_setup(refined, "0");
+    const CompiledSystem ref = compile_via_setup(refined, OptLevel::kNone);
     EXPECT_EQ(count_op(ref, Op::kBulkSend), 0);
     EXPECT_EQ(count_op(ref, Op::kBulkRecv), 0);
 
-    const CompiledSystem opt = compile_via_setup(refined, "1");
+    const CompiledSystem opt = compile_via_setup(refined, OptLevel::kFull);
     EXPECT_GE(count_op(opt, Op::kBulkSend), 1)
         << protocol_kind_name(kind)
         << ": generated Send word loops should collapse to kBulkSend";
@@ -366,17 +342,15 @@ TEST(OptimizerTest, ExecutedOpsAndResultsIdenticalAcrossLevels) {
   const System refined = refine(base, ProtocolKind::kHalfHandshake, 5);
 
   obs::MetricsRegistry ref_metrics;
-  SimulationRun ref = [&] {
-    ScopedSimOpt off("0");
-    return simulate(refined, 10'000'000, false,
-                    obs::ObsContext{&ref_metrics, nullptr}, Engine::kVm);
-  }();
+  SimulationRun ref =
+      simulate(refined, 10'000'000, false,
+               obs::ObsContext{&ref_metrics, nullptr},
+               {Engine::kVm, OptLevel::kNone});
   obs::MetricsRegistry opt_metrics;
-  SimulationRun opt = [&] {
-    ScopedSimOpt on("1");
-    return simulate(refined, 10'000'000, false,
-                    obs::ObsContext{&opt_metrics, nullptr}, Engine::kVm);
-  }();
+  SimulationRun opt =
+      simulate(refined, 10'000'000, false,
+               obs::ObsContext{&opt_metrics, nullptr},
+               {Engine::kVm, OptLevel::kFull});
 
   ASSERT_TRUE(ref.result.status.is_ok()) << ref.result.status;
   ASSERT_TRUE(opt.result.status.is_ok()) << opt.result.status;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "sim/bytecode/compiler.hpp"
@@ -28,26 +29,41 @@ SimulationRun run_body(std::vector<Variable> vars, Block body,
   p.locals = std::move(locals);
   p.body = std::move(body);
   system.add_process(std::move(p));
-  return simulate(system, 1'000'000, false, {}, engine);
+  return simulate(system, 1'000'000, false, {}, {engine});
 }
 
 // ---- engine selection ------------------------------------------------------
 
 TEST(EngineSelectionTest, EnvVariablePicksEngine) {
+  std::string bad = "sentinel";
   ::unsetenv("IFSYN_SIM_ENGINE");
-  EXPECT_EQ(engine_from_env(), Engine::kVm);
-  ::setenv("IFSYN_SIM_ENGINE", "ast", 1);
-  EXPECT_EQ(engine_from_env(), Engine::kAst);
-  ::setenv("IFSYN_SIM_ENGINE", "vm", 1);
-  EXPECT_EQ(engine_from_env(), Engine::kVm);
+  EXPECT_EQ(engine_from_env(&bad), Engine::kVm);
+  EXPECT_EQ(bad, "");
+  for (const char* value : {"", "vm", "ast"}) {
+    SCOPED_TRACE(value);
+    ::setenv("IFSYN_SIM_ENGINE", value, 1);
+    bad = "sentinel";
+    EXPECT_EQ(engine_from_env(&bad),
+              std::string(value) == "ast" ? Engine::kAst : Engine::kVm);
+    EXPECT_EQ(bad, "") << "recognized values report no bad value";
+  }
+  // Unknown spellings (the retired "native" included) run the VM and hand
+  // the value back so the front end can warn.
+  for (const char* value : {"native", "turbo"}) {
+    SCOPED_TRACE(value);
+    ::setenv("IFSYN_SIM_ENGINE", value, 1);
+    EXPECT_EQ(engine_from_env(&bad), Engine::kVm);
+    EXPECT_EQ(bad, value);
+  }
   ::unsetenv("IFSYN_SIM_ENGINE");
 }
 
 TEST(EngineSelectionTest, InterpreterReportsItsEngine) {
   System system("t");
-  Kernel k1, k2;
-  EXPECT_EQ(Interpreter(system, k1, Engine::kVm).engine(), Engine::kVm);
-  EXPECT_EQ(Interpreter(system, k2, Engine::kAst).engine(), Engine::kAst);
+  Kernel k1, k2, k3;
+  EXPECT_EQ(Interpreter(system, k1).engine(), Engine::kVm) << "default";
+  EXPECT_EQ(Interpreter(system, k2, {Engine::kVm}).engine(), Engine::kVm);
+  EXPECT_EQ(Interpreter(system, k3, {Engine::kAst}).engine(), Engine::kAst);
 }
 
 // ---- compiler structure ----------------------------------------------------
@@ -164,7 +180,7 @@ TEST(BytecodeCompilerTest, SpecializesProceduresPerProcess) {
   }
 
   Kernel kernel;
-  Interpreter interp(system, kernel, Engine::kVm);
+  Interpreter interp(system, kernel);
   ASSERT_TRUE(interp.setup().is_ok());
   auto result = kernel.run();
   ASSERT_TRUE(result.status.is_ok()) << result.status;
@@ -217,7 +233,7 @@ TEST_P(BothEngines, ProcedureOutParamWritesArrayElement) {
   p.name = "main";
   p.body = {call("MK", {lit(100), lv_idx("MEM", lit(3))})};
   system.add_process(std::move(p));
-  auto run = simulate(system, 1'000'000, false, {}, GetParam());
+  auto run = simulate(system, 1'000'000, false, {}, {GetParam()});
   ASSERT_TRUE(run.result.status.is_ok()) << run.result.status;
   EXPECT_EQ(run.interpreter->value_of("MEM").at(3).to_uint(), 105u);
 }
@@ -241,7 +257,7 @@ TEST_P(BothEngines, RecursiveProcedureRuns) {
   p.name = "main";
   p.body = {call("FACT", {lit(5), lv("R")})};
   system.add_process(std::move(p));
-  auto run = simulate(system, 1'000'000, false, {}, GetParam());
+  auto run = simulate(system, 1'000'000, false, {}, {GetParam()});
   ASSERT_TRUE(run.result.status.is_ok()) << run.result.status;
   EXPECT_EQ(run.interpreter->value_of("R").get().to_int(), 120);
 }
@@ -255,7 +271,7 @@ TEST_P(BothEngines, SetValueInjectsStimuli) {
   p.body = {assign("Y", add(var("X"), lit(1)))};
   system.add_process(std::move(p));
   Kernel kernel;
-  Interpreter interp(system, kernel, GetParam());
+  Interpreter interp(system, kernel, {GetParam()});
   ASSERT_TRUE(interp.setup().is_ok());
   interp.set_value("X", Value::integer(41));
   ASSERT_TRUE(kernel.run().status.is_ok());
@@ -277,7 +293,7 @@ TEST(BytecodeVmTest, RecordsCompileAndExecutionMetrics) {
 
   obs::MetricsRegistry metrics;
   auto run = simulate(system, 1'000'000, false,
-                      obs::ObsContext{&metrics, nullptr}, Engine::kVm);
+                      obs::ObsContext{&metrics, nullptr});
   ASSERT_TRUE(run.result.status.is_ok());
   const auto snap = metrics.snapshot();
   const auto* compiles = snap.find("sim.vm.compiles");

@@ -1,4 +1,4 @@
-// The process-wide bytecode artifact store (sim/bytecode/program_cache):
+// The shared bytecode artifact store (sim/bytecode/program_cache):
 // keying, compile-once sharing across Vms, LRU eviction, and the
 // differential guarantee that a cached program simulates identically to
 // a fresh compile.
@@ -14,14 +14,6 @@
 namespace ifsyn::sim::bytecode {
 namespace {
 
-/// RAII guard: tests must never leak an installed cache into other tests.
-struct ScopedProcessCache {
-  explicit ScopedProcessCache(ProgramCache* cache) {
-    install_process_cache(cache);
-  }
-  ~ScopedProcessCache() { install_process_cache(nullptr); }
-};
-
 TEST(SystemCacheKeyTest, StableForEqualContentSensitiveToChanges) {
   const spec::System a = suite::make_fig3_system();
   const spec::System b = suite::make_fig3_system();
@@ -32,7 +24,7 @@ TEST(SystemCacheKeyTest, StableForEqualContentSensitiveToChanges) {
 }
 
 TEST(SystemCacheKeyTest, OptimizationLevelKeysSeparateArtifacts) {
-  // A process serving mixed IFSYN_SIM_OPT requests must never hand an
+  // A store shared by callers at mixed opt levels must never hand an
   // optimized artifact to a reference run (or vice versa), so the level
   // is part of the key.
   const spec::System a = suite::make_fig3_system();
@@ -79,23 +71,26 @@ TEST(ProgramCacheTest, CapacityOneEvictsTheColderKey) {
 TEST(ProgramCacheTest, CachedProgramSimulatesIdentically) {
   const spec::System system = suite::make_fig3_system();
 
-  // Fresh compile, no cache installed (the one-shot CLI path).
+  // Fresh compile, no cache (the one-shot CLI path).
   const SimulationRun baseline = simulate(system, 1'000'000);
   ASSERT_TRUE(baseline.result.status.is_ok());
 
   ProgramCache cache;
-  ScopedProcessCache installed(&cache);
-  const SimulationRun cold = simulate(system, 1'000'000);
-  const SimulationRun warm = simulate(system, 1'000'000);
+  SimConfig config;
+  config.programs = &cache;
+  const SimulationRun cold = simulate(system, 1'000'000, false, {}, config);
+  const SimulationRun warm = simulate(system, 1'000'000, false, {}, config);
   ASSERT_TRUE(cold.result.status.is_ok());
   ASSERT_TRUE(warm.result.status.is_ok());
-  if (engine_from_env() == Engine::kVm) {
-    // The AST reference engine never touches the program cache, so the
-    // counter assertions only hold on the VM leg; the differential
-    // check below is engine-independent.
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_GE(cache.hits(), 1u);
-  }
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+
+  // The AST reference engine never touches the program cache.
+  config.engine = Engine::kAst;
+  ASSERT_TRUE(
+      simulate(system, 1'000'000, false, {}, config).result.status.is_ok());
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 
   // Same end time and per-process completion whether the program came
   // from a fresh compile, a cold cache, or a warm hit.

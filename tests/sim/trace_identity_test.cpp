@@ -24,28 +24,6 @@ namespace {
 
 using namespace spec;
 
-/// Forces IFSYN_SIM_OPT for one run; restores the previous value.
-class ScopedSimOpt {
- public:
-  explicit ScopedSimOpt(const char* value) {
-    const char* old = std::getenv("IFSYN_SIM_OPT");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    setenv("IFSYN_SIM_OPT", value, 1);
-  }
-  ~ScopedSimOpt() {
-    if (had_) {
-      setenv("IFSYN_SIM_OPT", saved_.c_str(), 1);
-    } else {
-      unsetenv("IFSYN_SIM_OPT");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 /// One process streaming a 16 x 24-bit array out and back over a 5-bit
 /// bus: every element transfer is several DATA words in each direction.
 System make_transfer_heavy_system() {
@@ -81,31 +59,29 @@ System make_transfer_heavy_system() {
 
 struct Leg {
   const char* name;
-  sim::Engine engine;
-  const char* opt;
+  sim::SimConfig config;
 };
 
 TEST(TraceIdentityTest, TraceAndVcdAreByteIdenticalAcrossEnginesAndOpt) {
   const System system = make_transfer_heavy_system();
 
   const Leg legs[] = {
-      {"vm opt=0", sim::Engine::kVm, "0"},
-      {"vm opt=1", sim::Engine::kVm, "1"},
-      {"native opt=0", sim::Engine::kNative, "0"},
-      {"native opt=1", sim::Engine::kNative, "1"},
+      {"vm opt=0", {sim::Engine::kVm, sim::bytecode::OptLevel::kNone}},
+      {"vm opt=1", {sim::Engine::kVm, sim::bytecode::OptLevel::kFull}},
+      {"ast", {sim::Engine::kAst}},
   };
 
   std::vector<sim::SimulationRun> runs;
   std::vector<std::string> vcds;
   obs::MetricsRegistry opt_registry;  // watches the vm opt=1 leg
   for (const Leg& leg : legs) {
-    ScopedSimOpt opt(leg.opt);
     obs::ObsContext obs;
-    if (leg.engine == sim::Engine::kVm && leg.opt[0] == '1') {
+    if (leg.config.engine == sim::Engine::kVm &&
+        leg.config.opt == sim::bytecode::OptLevel::kFull) {
       obs.metrics = &opt_registry;
     }
     runs.push_back(
-        sim::simulate(system, 1'000'000, /*trace=*/true, obs, leg.engine));
+        sim::simulate(system, 1'000'000, /*trace=*/true, obs, leg.config));
     ASSERT_TRUE(runs.back().result.status.is_ok())
         << leg.name << ": " << runs.back().result.status.to_string();
     vcds.push_back(sim::trace_to_vcd(*runs.back().kernel));
