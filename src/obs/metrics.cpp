@@ -22,12 +22,25 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
 }
 
 void Histogram::observe(std::uint64_t value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - bounds_.begin());  // == size() → overflow
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(bounds_, value)].fetch_add(1,
+                                                   std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
+}
+
+void Histogram::merge(std::span<const std::uint64_t> counts,
+                      std::uint64_t sum) {
+  IFSYN_ASSERT_MSG(counts.size() == bounds_.size() + 1,
+                   "histogram merge needs " << bounds_.size() + 1
+                                            << " bucket counts");
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    count += counts[i];
+  }
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -36,6 +49,12 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
     counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return counts;
+}
+
+std::size_t bucket_index(std::span<const std::uint64_t> bounds,
+                         std::uint64_t value) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
 }
 
 std::vector<std::uint64_t> exponential_bounds(std::uint64_t max) {

@@ -25,10 +25,12 @@
 // guarantee.
 //
 // Cost: counter/gauge updates are one relaxed atomic RMW; histogram
-// observation is a branchless-ish bucket search plus two RMWs. All are
-// cheap enough to leave enabled in the sim hot path; the kernel
-// additionally batches its per-event counts in plain integers and flushes
-// once per run (see sim/kernel.hpp).
+// observation is a bucket search plus three RMWs. Cheap alone, but every
+// one of them moves a cache line that all threads updating the metric
+// share, so code that runs per instruction, per suspension or per event —
+// the simulator's data plane — never calls them: it counts in plain
+// per-run integers and flushes once per run (see sim/kernel.hpp and
+// DESIGN.md Sec. 8).
 #pragma once
 
 #include <atomic>
@@ -37,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,11 @@ class Histogram {
   explicit Histogram(std::vector<std::uint64_t> bounds);
 
   void observe(std::uint64_t value);
+  /// Add observations tallied elsewhere against the same bounds (a plain
+  /// per-run array filled through bucket_index): counts[i] joins bucket i
+  /// and `sum` is the tallied values' total. The result equals observing
+  /// each value; `counts` must have bounds().size() + 1 entries.
+  void merge(std::span<const std::uint64_t> counts, std::uint64_t sum);
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
@@ -101,6 +109,11 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
 };
+
+/// The bucket `value` falls in: the first i with value <= bounds[i], or
+/// bounds.size() (the overflow bucket). Histogram::observe buckets by it.
+std::size_t bucket_index(std::span<const std::uint64_t> bounds,
+                         std::uint64_t value);
 
 /// Exponential bucket bounds 1, 2, 4, ... up to `max` (inclusive) — the
 /// default shape for cycle- and latency-valued histograms.

@@ -54,7 +54,7 @@ void Vm::setup() {
     metrics->counter("sim.vm.compiles").add(1);
     metrics->counter("sim.vm.compiled_instructions")
         .add(compiled_->total_instructions);
-    executed_ops_ = &metrics->counter("sim.vm.executed_ops");
+    executed_ops_counter_ = &metrics->counter("sim.vm.executed_ops");
     // Optimizer introspection. All wall-clock-classed: they vary with
     // the opt level, and the deterministic report tables must stay
     // byte-identical across levels (executed_ops does, via weights).
@@ -67,9 +67,10 @@ void Vm::setup() {
         ->counter("sim.vm.opt.instructions_eliminated",
                   obs::Determinism::kWallClock)
         .add(compiled_->opt.instructions_eliminated);
-    bulk_ops_ = &metrics->counter("sim.vm.opt.bulk_ops",
-                                  obs::Determinism::kWallClock);
+    bulk_ops_counter_ = &metrics->counter("sim.vm.opt.bulk_ops",
+                                          obs::Determinism::kWallClock);
   }
+  kernel_.add_run_end_hook([this] { flush_metrics(); });
 
   globals_.clear();
   globals_.reserve(compiled_->global_slots.size());
@@ -580,13 +581,20 @@ bool Vm::eval_cond(ExecState& st, const CondProgram& cp) {
   // Charge the pre-optimization instruction count: executed_ops is a
   // deterministic report metric and must read identically whether or not
   // the optimizer shrank this condition body.
-  if (executed_ops_) executed_ops_->add(cp.ref_ops);
+  executed_ops_ += cp.ref_ops;
   return st.regs[cp.result_reg].truthy();
 }
 
 void Vm::flush_ops(std::uint64_t& ops) {
-  if (executed_ops_ && ops != 0) executed_ops_->add(ops);
+  executed_ops_ += ops;
   ops = 0;
+}
+
+void Vm::flush_metrics() {
+  if (executed_ops_counter_) executed_ops_counter_->add(executed_ops_);
+  if (bulk_ops_counter_) bulk_ops_counter_->add(bulk_ops_);
+  executed_ops_ = 0;
+  bulk_ops_ = 0;
 }
 
 Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
@@ -712,7 +720,7 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
         const BulkTransfer& bt = prog.bulks[static_cast<std::size_t>(in.a)];
         exec_bulk_send(st, bt);
         ops += bt.weight - 1;
-        if (bulk_ops_) bulk_ops_->add(1);
+        ++bulk_ops_;
         ++pc;
         break;
       }
@@ -720,7 +728,7 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
         const BulkTransfer& bt = prog.bulks[static_cast<std::size_t>(in.a)];
         exec_bulk_recv(st, bt);
         ops += bt.weight - 1;
-        if (bulk_ops_) bulk_ops_->add(1);
+        ++bulk_ops_;
         ++pc;
         break;
       }
@@ -738,8 +746,9 @@ Vm::SuspendKind Vm::run_until_suspend(ExecState& st, std::uint64_t& ops,
 // awaiter temporary); hoisting the operand into a local sidesteps the bug
 // — same convention as sim/interpreter.cpp.
 SimTask Vm::run_process(ExecState& st) {
-  // Executed-op count batches in a local and flushes into the registry at
-  // suspensions and at halt — no atomic RMW per instruction.
+  // Executed-op count batches in a register-resident local and moves into
+  // executed_ops_ at suspensions and at halt; the registry sees it once,
+  // at the end of the kernel run (flush_metrics).
   std::uint64_t ops = 0;
   for (;;) {
     std::uint64_t arg = 0;

@@ -120,7 +120,11 @@ class Vm {
   bool eval_cond(ExecState& st, const CondProgram& cp);
   void do_call(ExecState& st, const CallSite& cs);
   void do_return(ExecState& st);
+  /// Moves a burst's op count into executed_ops_ (at suspension, halt).
   void flush_ops(std::uint64_t& ops);
+  /// Kernel end-of-run hook: adds this run's counts to the registry
+  /// counters (when one is attached) and zeroes them.
+  void flush_metrics();
 
   const spec::System& system_;
   Kernel& kernel_;
@@ -130,11 +134,19 @@ class Vm {
   std::shared_ptr<const CompiledSystem> compiled_;
   std::deque<ExecState> states_;
   std::vector<spec::Value> globals_;  ///< shared by all processes
-  obs::Counter* executed_ops_ = nullptr;
-  /// Wall-clock-classed: counts kBulkSend/kBulkRecv dispatches, which
-  /// depend on the optimization level and so must never feed a
+  /// Run-time counts of the current kernel run, in plain integers: the
+  /// dispatch loop, condition evaluation and every suspension add here,
+  /// never to a registry counter, and flush_metrics writes them into the
+  /// registry once at the end of the run. A registry several concurrent
+  /// runs share (the explorer's validate workers) is thus written once
+  /// per run, not once per suspension (DESIGN.md Sec. 8).
+  std::uint64_t executed_ops_ = 0;
+  /// kBulkSend/kBulkRecv dispatches. Depends on the optimization level,
+  /// so its registry counter is wall-clock-classed and never feeds a
   /// deterministic report table.
-  obs::Counter* bulk_ops_ = nullptr;
+  std::uint64_t bulk_ops_ = 0;
+  obs::Counter* executed_ops_counter_ = nullptr;  ///< sim.vm.executed_ops
+  obs::Counter* bulk_ops_counter_ = nullptr;      ///< sim.vm.opt.bulk_ops
 };
 
 }  // namespace ifsyn::sim::bytecode

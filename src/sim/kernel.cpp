@@ -6,6 +6,18 @@
 
 namespace ifsyn::sim {
 
+namespace {
+
+/// Bounds of the cycle-valued kernel histograms (bus hold/wait durations,
+/// deltas per instant).
+const std::vector<std::uint64_t>& cycle_bounds() {
+  static const std::vector<std::uint64_t> bounds =
+      obs::exponential_bounds(1 << 16);
+  return bounds;
+}
+
+}  // namespace
+
 // ---- configuration -------------------------------------------------------
 
 void Kernel::add_signal_field(const FieldKey& key, BitVector initial) {
@@ -42,6 +54,10 @@ void Kernel::add_process(const std::string& name,
   proc->index = static_cast<std::uint32_t>(processes_.size());
   proc->stats.name = name;
   processes_.push_back(std::move(proc));
+}
+
+void Kernel::add_run_end_hook(std::function<void()> hook) {
+  run_end_hooks_.push_back(std::move(hook));
 }
 
 // ---- name resolution ------------------------------------------------------
@@ -305,6 +321,11 @@ Kernel::Awaiter Kernel::acquire_bus(BusId bus) {
   return aw;
 }
 
+void Kernel::CycleTally::observe(std::uint64_t cycles) {
+  ++counts[obs::bucket_index(cycle_bounds(), cycles)];
+  sum += cycles;
+}
+
 void Kernel::grant_bus(BusLockState& lock, ProcessRuntime* next,
                        bool contended) {
   lock.holder = next;
@@ -321,7 +342,7 @@ void Kernel::release_bus(BusId id) {
                    "bus " << lock.name << " released by non-holder");
   const std::uint64_t held = time_ - lock.hold_start;
   lock.stats.hold_cycles += held;
-  if (hold_hist_) hold_hist_->observe(held);
+  hold_tally_.observe(held);
   if (lock.waiters.empty()) {
     lock.holder = nullptr;
     return;
@@ -331,7 +352,7 @@ void Kernel::release_bus(BusId id) {
   const std::uint64_t waited = time_ - next->lock_wait_start;
   next->stats.bus_wait_cycles += waited;
   lock.stats.wait_cycles += waited;
-  if (wait_hist_) wait_hist_->observe(waited);
+  wait_tally_.observe(waited);
   grant_bus(lock, next, /*contended=*/true);
   make_ready(*next);
   ++stats_.wakeups_bus_grant;
@@ -501,15 +522,9 @@ SimResult Kernel::run(std::uint64_t max_time) {
     lock.stats = BusStats{};
     lock.stats.bus = name;
   }
-  if (obs_.metrics != nullptr) {
-    // Cycle-valued histograms over per-acquisition bus hold ("transaction
-    // length") and per-grant wait ("arbitration latency") durations.
-    const std::vector<std::uint64_t> bounds = obs::exponential_bounds(1 << 16);
-    hold_hist_ = &obs_.metrics->histogram("sim.bus_hold_cycles", bounds);
-    wait_hist_ = &obs_.metrics->histogram("sim.bus_wait_cycles", bounds);
-  } else {
-    hold_hist_ = nullptr;
-    wait_hist_ = nullptr;
+  for (CycleTally* tally : {&hold_tally_, &wait_tally_}) {
+    tally->counts.assign(cycle_bounds().size() + 1, 0);
+    tally->sum = 0;
   }
 
   // Rebuild the indexed scheduler state from scratch: any waiter lists or
@@ -551,6 +566,7 @@ SimResult Kernel::run(std::uint64_t max_time) {
   for (const auto& [name, id] : bus_index_) {
     result.buses.push_back(bus_locks_[id].stats);
   }
+  for (const auto& hook : run_end_hooks_) hook();
   if (obs_.metrics != nullptr) flush_metrics(result);
   return result;
 }
@@ -567,8 +583,14 @@ void Kernel::flush_metrics(const SimResult& result) const {
   reg.counter("sim.wakeups.event").add(stats_.wakeups_event);
   reg.counter("sim.wakeups.condition").add(stats_.wakeups_condition);
   reg.counter("sim.wakeups.bus_grant").add(stats_.wakeups_bus_grant);
-  reg.histogram("sim.deltas_per_instant", obs::exponential_bounds(1 << 16))
+  reg.histogram("sim.deltas_per_instant", cycle_bounds())
       .observe(stats_.max_deltas_in_instant);
+  // Per-acquisition bus hold ("transaction length") and per-grant wait
+  // ("arbitration latency") durations, tallied during the run.
+  reg.histogram("sim.bus_hold_cycles", cycle_bounds())
+      .merge(hold_tally_.counts, hold_tally_.sum);
+  reg.histogram("sim.bus_wait_cycles", cycle_bounds())
+      .merge(wait_tally_.counts, wait_tally_.sum);
   for (const BusStats& bus : result.buses) {
     const std::string prefix = "sim.bus." + bus.bus + ".";
     reg.counter(prefix + "acquisitions").add(bus.acquisitions);

@@ -182,18 +182,28 @@ class Kernel {
     trace_limit_ = max_entries;
   }
 
-  /// Attach a metrics registry / trace sink. The kernel batches its
-  /// per-event counts in plain integers during the run (always on, no
-  /// atomics in the hot path) and flushes them into the registry once at
-  /// the end of run() under the "sim." prefix; bus hold/wait durations
-  /// additionally feed the sim.bus_hold_cycles / sim.bus_wait_cycles
-  /// histograms. All flushed values are Determinism::kDeterministic.
+  /// Attach a metrics registry / trace sink. The kernel counts its
+  /// per-event statistics and its per-acquisition bus hold/wait durations
+  /// in plain per-run integers (always on; no registry write and no
+  /// atomic during the run) and flushes them into the registry once, at
+  /// the end of run(): counters under the "sim." prefix plus the
+  /// sim.bus_hold_cycles / sim.bus_wait_cycles histograms. A registry
+  /// read mid-run therefore sees none of the current run. All flushed
+  /// values are Determinism::kDeterministic.
   void set_obs(const obs::ObsContext& ctx) { obs_ = ctx; }
 
   /// The attached observability hooks (default-empty when none were set).
   /// Execution engines layered on the kernel register their own metrics
   /// (e.g. the bytecode VM's sim.vm.* counters) through the same context.
   const obs::ObsContext& obs() const { return obs_; }
+
+  /// Register `hook` to run at the end of every run(), once the last
+  /// process has suspended, just before the kernel flushes its own
+  /// counts. Execution engines flush their per-run counts through it (the
+  /// bytecode VM's sim.vm.executed_ops), so they too write the registry
+  /// once per run. What the hook captures must outlive the kernel's runs,
+  /// as for add_process factories.
+  void add_run_end_hook(std::function<void()> hook);
 
   // ---- name resolution (cold path; resolve once, keep the id) -----------
 
@@ -356,9 +366,19 @@ class Kernel {
   bool advance_time(std::uint64_t max_time);
 
   void finish_process(ProcessRuntime& proc);
+  /// Per-run tally of one cycle-valued bus histogram, in plain integers
+  /// bucketed like obs::Histogram; flush_metrics merges it into the
+  /// registry once per run.
+  struct CycleTally {
+    std::vector<std::uint64_t> counts;  ///< one per bucket, overflow last
+    std::uint64_t sum = 0;
+
+    void observe(std::uint64_t cycles);
+  };
+
   /// Grant the lock to `next` at the current time, with accounting.
   void grant_bus(BusLockState& lock, ProcessRuntime* next, bool contended);
-  /// Push KernelStats and bus histograms into the attached registry.
+  /// Push KernelStats and the bus tallies into the attached registry.
   void flush_metrics(const SimResult& result) const;
 
   std::uint64_t time_ = 0;
@@ -392,11 +412,10 @@ class Kernel {
   std::size_t trace_limit_ = kDefaultTraceLimit;
   Status run_status_;
   KernelStats stats_;
+  CycleTally hold_tally_;  ///< bus hold durations, per release
+  CycleTally wait_tally_;  ///< bus wait durations, per contended grant
   obs::ObsContext obs_;
-  // Histogram handles resolved once per run (name lookup off the hot path);
-  // null when no registry is attached.
-  obs::Histogram* hold_hist_ = nullptr;
-  obs::Histogram* wait_hist_ = nullptr;
+  std::vector<std::function<void()>> run_end_hooks_;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr std::uint64_t kMaxDeltasPerInstant = 100'000;

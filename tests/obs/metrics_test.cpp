@@ -48,6 +48,28 @@ TEST(MetricsTest, HistogramBucketsObservationsIncludingOverflow) {
   EXPECT_EQ(counts[3], 2u);
 }
 
+TEST(MetricsTest, HistogramMergeEqualsObservingEachValue) {
+  const std::vector<std::uint64_t> bounds = {1, 4, 16};
+  const std::vector<std::uint64_t> values = {0, 1, 2, 16, 17, 1000, 3};
+  Histogram observed(bounds);
+  std::vector<std::uint64_t> tally(bounds.size() + 1, 0);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : values) {
+    observed.observe(v);
+    ++tally[bucket_index(bounds, v)];
+    sum += v;
+  }
+  Histogram merged(bounds);
+  merged.merge(tally, sum);
+  EXPECT_EQ(merged.bucket_counts(), observed.bucket_counts());
+  EXPECT_EQ(merged.count(), observed.count());
+  EXPECT_EQ(merged.sum(), observed.sum());
+  // Merging adds to what is already there.
+  merged.merge(tally, sum);
+  EXPECT_EQ(merged.count(), 2 * values.size());
+  EXPECT_EQ(merged.sum(), 2 * sum);
+}
+
 TEST(MetricsTest, ExponentialBoundsDoubleUpToMax) {
   EXPECT_EQ(exponential_bounds(16),
             (std::vector<std::uint64_t>{1, 2, 4, 8, 16}));

@@ -309,5 +309,59 @@ TEST(BytecodeVmTest, RecordsCompileAndExecutionMetrics) {
   EXPECT_NE(snap.find("sim.vm.compile_us"), nullptr);
 }
 
+TEST(BytecodeVmTest, ExecutedOpsReachTheRegistryOnceAtEndOfRun) {
+  // The VM counts executed ops in plain per-run integers and writes the
+  // registry once, when Kernel::run ends, so concurrent runs sharing one
+  // registry never contend on it mid-run. A probe process reading the
+  // counter halfway through simulated time must see nothing of the run.
+  System system("t");
+  system.add_variable(Variable("COUNT", Type::integer(32)));
+  Signal s;
+  s.name = "S";
+  s.fields = {SignalField{"REQ", 1}};
+  system.add_signal(std::move(s));
+  Process producer;
+  producer.name = "producer";
+  producer.body = {for_stmt("I", lit(1), lit(10),
+                            {wait_for(10), sig_assign("S", "REQ", lit(1)),
+                             wait_for(10), sig_assign("S", "REQ", lit(0))})};
+  system.add_process(std::move(producer));
+  Process consumer;
+  consumer.name = "consumer";
+  consumer.body = {for_stmt("J", lit(1), lit(10),
+                            {wait_until(eq(sig("S", "REQ"), lit(1))),
+                             assign("COUNT", add(var("COUNT"), lit(1))),
+                             wait_until(eq(sig("S", "REQ"), lit(0)))})};
+  system.add_process(std::move(consumer));
+
+  obs::MetricsRegistry metrics;
+  Kernel kernel;
+  kernel.set_obs(obs::ObsContext{&metrics, nullptr});
+  Interpreter interp(system, kernel);
+  ASSERT_TRUE(interp.setup().is_ok());
+  obs::Counter& ops = metrics.counter("sim.vm.executed_ops");
+  std::uint64_t mid_run = ~std::uint64_t{0};
+  kernel.add_process("probe", [&]() -> SimTask {
+    { auto aw = kernel.wait_for(100); co_await aw; }
+    mid_run = ops.value();
+  });
+
+  SimResult first = kernel.run();
+  ASSERT_TRUE(first.status.is_ok()) << first.status;
+  EXPECT_EQ(first.end_time, 200u);
+  EXPECT_EQ(interp.value_of("COUNT").get().to_int(), 10);
+  EXPECT_GT(first.kernel.wakeups_condition, 0u);
+  EXPECT_EQ(mid_run, 0u) << "executed ops reached the registry mid-run";
+  const std::uint64_t total = ops.value();
+  EXPECT_GT(total, 100u);
+
+  // A second run on the same kernel executes the same ops and flushes
+  // exactly the same count once more.
+  SimResult second = kernel.run();
+  ASSERT_TRUE(second.status.is_ok()) << second.status;
+  EXPECT_EQ(mid_run, total) << "second run leaked into the registry";
+  EXPECT_EQ(ops.value(), 2 * total);
+}
+
 }  // namespace
 }  // namespace ifsyn::sim

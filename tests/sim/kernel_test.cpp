@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/task.hpp"
 
 namespace ifsyn::sim {
@@ -285,6 +286,78 @@ TEST(KernelTest, BusLockSerializesAndAccountsWaiting) {
   EXPECT_EQ(order[3], "b:out@20");
   EXPECT_EQ(result.find("b")->bus_wait_cycles, 9u);
   EXPECT_EQ(result.find("a")->bus_wait_cycles, 0u);
+}
+
+TEST(KernelTest, BusHistogramsFlushOnceAtEndOfRun) {
+  // Bus hold/wait durations are tallied in plain per-run integers and
+  // reach the registry only when run() ends: a process reading the
+  // registry mid-run sees nothing of the current run.
+  obs::MetricsRegistry metrics;
+  Kernel kernel;
+  kernel.set_obs(obs::ObsContext{&metrics, nullptr});
+  kernel.add_bus_lock("B");
+  const std::vector<std::uint64_t> bounds = obs::exponential_bounds(1 << 16);
+  obs::Histogram& hold = metrics.histogram("sim.bus_hold_cycles", bounds);
+  obs::Histogram& wait = metrics.histogram("sim.bus_wait_cycles", bounds);
+  auto worker = [&](std::uint64_t start) -> SimTask {
+    for (int i = 0; i < 4; ++i) {
+      { auto aw = kernel.wait_for(start); co_await aw; }
+      { auto aw = kernel.acquire_bus("B"); co_await aw; }
+      { auto aw = kernel.wait_for(10); co_await aw; }
+      kernel.release_bus("B");
+    }
+  };
+  kernel.add_process("a", [&]() { return worker(1); });
+  kernel.add_process("b", [&]() { return worker(2); });
+  std::uint64_t mid_hold = ~std::uint64_t{0};
+  std::uint64_t mid_wait = ~std::uint64_t{0};
+  kernel.add_process("probe", [&]() -> SimTask {
+    { auto aw = kernel.wait_for(40); co_await aw; }
+    mid_hold = hold.count();
+    mid_wait = wait.count();
+  });
+
+  SimResult result = kernel.run();
+  ASSERT_TRUE(result.status.is_ok()) << result.status;
+  ASSERT_GT(result.end_time, 40u) << "probe must read mid-run";
+  const BusStats* bus = result.find_bus("B");
+  ASSERT_NE(bus, nullptr);
+  EXPECT_EQ(bus->acquisitions, 8u);
+  EXPECT_GT(bus->contended_acquisitions, 0u);
+  EXPECT_EQ(mid_hold, 0u) << "bus hold observed before end of run";
+  EXPECT_EQ(mid_wait, 0u) << "bus wait observed before end of run";
+  EXPECT_EQ(hold.count(), bus->acquisitions);
+  EXPECT_EQ(hold.sum(), bus->hold_cycles);
+  EXPECT_EQ(hold.bucket_counts()[obs::bucket_index(bounds, 10)], 8u);
+  EXPECT_EQ(wait.count(), bus->contended_acquisitions);
+  EXPECT_EQ(wait.sum(), bus->wait_cycles);
+
+  // A second run on the same kernel tallies afresh and adds exactly the
+  // same amounts again.
+  const std::uint64_t hold_one = hold.count();
+  const std::uint64_t wait_one = wait.count();
+  const std::uint64_t hold_sum_one = hold.sum();
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(mid_hold, hold_one) << "second run leaked into the registry";
+  EXPECT_EQ(mid_wait, wait_one);
+  EXPECT_EQ(hold.count(), 2 * hold_one);
+  EXPECT_EQ(wait.count(), 2 * wait_one);
+  EXPECT_EQ(hold.sum(), 2 * hold_sum_one);
+}
+
+TEST(KernelTest, RunEndHooksRunOncePerRunAfterTheLastProcess) {
+  Kernel kernel;
+  std::vector<std::string> events;
+  kernel.add_process("p", [&]() -> SimTask {
+    { auto aw = kernel.wait_for(3); co_await aw; }
+    events.push_back("p@" + std::to_string(kernel.now()));
+  });
+  kernel.add_run_end_hook(
+      [&] { events.push_back("end@" + std::to_string(kernel.now())); });
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  ASSERT_TRUE(kernel.run().status.is_ok());
+  EXPECT_EQ(events, (std::vector<std::string>{"p@3", "end@3", "p@3",
+                                              "end@3"}));
 }
 
 TEST(KernelTest, BusLockFifoOrder) {
