@@ -8,6 +8,7 @@
 
 #include "sim/bytecode/compiler.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -478,8 +479,24 @@ class ProcessCompiler {
     const auto count =
         static_cast<std::uint32_t>(prog_.cond_code.size()) - start;
     // ref_ops = count: the optimizer may shrink count but preserves
-    // ref_ops, which is what eval_cond charges to sim.vm.executed_ops.
-    prog_.conds.push_back(CondProgram{start, count, 0, count});
+    // ref_ops, which is what the VM charges to sim.vm.executed_ops.
+    CondProgram cp;
+    cp.start = start;
+    cp.count = count;
+    cp.ref_ops = count;
+    for (std::uint32_t pc = start; pc < start + count; ++pc) {
+      const Instr& in = prog_.cond_code[pc];
+      if (in.op == Op::kLoadSignal) {
+        cp.reads.push_back(static_cast<SignalId>(in.a));
+      } else if ((in.op == Op::kLoadVar || in.op == Op::kLoadArray) &&
+                 static_cast<Space>(in.aux) == Space::kGlobal) {
+        cp.reads_globals = true;
+      }
+    }
+    std::sort(cp.reads.begin(), cp.reads.end());
+    cp.reads.erase(std::unique(cp.reads.begin(), cp.reads.end()),
+                   cp.reads.end());
+    prog_.conds.push_back(std::move(cp));
     return static_cast<int>(prog_.conds.size()) - 1;
   }
 

@@ -150,17 +150,29 @@ struct CallSite {
 };
 
 /// A `wait until` condition lowered into `cond_code`: the VM evaluates
-/// instructions [start, start+count) and reads the result register. The
-/// kernel re-runs this after every delta commit while the process is
-/// parked, exactly like the AST engine's condition lambda.
+/// instructions [start, start+count) and reads the result register. While
+/// the process is parked the kernel re-runs it only in commits that
+/// change a field in `reads` — or, when `reads_globals`, in every
+/// change-commit, like the AST engine's condition lambda (Kernel::
+/// wait_until).
 struct CondProgram {
   std::uint32_t start = 0;
   std::uint32_t count = 0;
   std::uint16_t result_reg = 0;
-  /// Pre-optimization instruction count. eval_cond charges this to
-  /// sim.vm.executed_ops (not `count`) so the counter reads identically
-  /// whether or not the optimizer shrank the condition body.
+  /// Pre-optimization instruction count. Each executed `wait until` is
+  /// charged ref_ops x (1 + change-commits while parked) in
+  /// sim.vm.executed_ops — what evaluating after every change-commit
+  /// costs — so the counter reads identically whether or not the
+  /// optimizer shrank the condition body or the kernel skipped
+  /// evaluations.
   std::uint32_t ref_ops = 0;
+  /// Distinct signal fields the condition reads (its kLoadSignal
+  /// operands), ascending.
+  std::vector<SignalId> reads;
+  /// The condition reads a system variable (Space::kGlobal), which
+  /// another process can change with no signal event; such a condition
+  /// is re-evaluated in every change-commit.
+  bool reads_globals = false;
 };
 
 /// Descriptor for one kBulkSend/kBulkRecv: a whole P3 transfer-loop word

@@ -127,6 +127,7 @@ void Vm::reset(ExecState& st) {
   st.frame_pool.resize(st.prog->frame_layouts.size());
   st.proc_frame = make_frame(st.prog->frame_layouts[0]);
   st.regs.assign(st.prog->num_regs, Scalar{});
+  st.parked_cond = nullptr;
 }
 
 std::vector<spec::Value> Vm::acquire_frame(ExecState& st,
@@ -578,11 +579,24 @@ bool Vm::eval_cond(ExecState& st, const CondProgram& cp) {
   for (std::uint32_t pc = cp.start; pc < cp.start + cp.count; ++pc) {
     exec_op(st, code[pc]);
   }
-  // Charge the pre-optimization instruction count: executed_ops is a
-  // deterministic report metric and must read identically whether or not
-  // the optimizer shrank this condition body.
-  executed_ops_ += cp.ref_ops;
+  // The first evaluation that completes (one that traps is never
+  // charged) starts the count charge_cond bills; re-evaluations while
+  // parked add nothing, so the charge does not depend on how many
+  // evaluations the kernel's sensitivity index let through.
+  if (st.parked_cond == nullptr) {
+    st.parked_cond = &cp;
+    st.parked_at = kernel_.change_commits();
+  }
   return st.regs[cp.result_reg].truthy();
+}
+
+void Vm::charge_cond(ExecState& st) {
+  // executed_ops is a deterministic report metric: it reads as if the
+  // pre-optimization condition body (ref_ops) ran at the wait and again
+  // in every change-commit the process stayed parked through.
+  executed_ops_ += st.parked_cond->ref_ops *
+                   (1 + kernel_.change_commits() - st.parked_at);
+  st.parked_cond = nullptr;
 }
 
 void Vm::flush_ops(std::uint64_t& ops) {
@@ -591,6 +605,9 @@ void Vm::flush_ops(std::uint64_t& ops) {
 }
 
 void Vm::flush_metrics() {
+  for (ExecState& st : states_) {
+    if (st.parked_cond != nullptr) charge_cond(st);
+  }
   if (executed_ops_counter_) executed_ops_counter_->add(executed_ops_);
   if (bulk_ops_counter_) bulk_ops_counter_->add(bulk_ops_);
   executed_ops_ = 0;
@@ -775,10 +792,15 @@ SimTask Vm::run_process(ExecState& st) {
         const CondProgram& cp =
             st.prog->conds[static_cast<std::size_t>(arg)];
         // Two-pointer capture: fits std::function's small-buffer storage,
-        // so re-arming the condition never heap-allocates.
-        auto awaiter = kernel_.wait_until(
-            [&st, &cp]() { return st.vm->eval_cond(st, cp); });
+        // so re-arming the condition never heap-allocates. A condition
+        // reading a system variable cannot be indexed by its signal reads
+        // (another process may write the variable with no signal event).
+        auto cond = [&st, &cp]() { return st.vm->eval_cond(st, cp); };
+        auto awaiter = cp.reads_globals
+                           ? kernel_.wait_until(cond)
+                           : kernel_.wait_until(cond, cp.reads);
         co_await awaiter;
+        charge_cond(st);
         break;
       }
       case SuspendKind::kAcquireBus: {

@@ -81,6 +81,11 @@ class Vm {
     std::uint32_t ret_frame_layout = 0;   ///< layout index of `ret_frame`
     std::vector<CallRecord> call_stack;
     std::vector<Scalar> regs;
+    /// The `wait until` whose first evaluation succeeded and that has not
+    /// been charged yet (nullptr when none), and the kernel's
+    /// change-commit count at that evaluation; see charge_cond.
+    const CondProgram* parked_cond = nullptr;
+    std::uint64_t parked_at = 0;
     /// Retired activation frames, per layout index, recycled by do_call
     /// to avoid a heap allocation per procedure call.
     std::vector<std::vector<std::vector<spec::Value>>> frame_pool;
@@ -118,12 +123,17 @@ class Vm {
   void exec_bulk_send(ExecState& st, const BulkTransfer& bt);
   void exec_bulk_recv(ExecState& st, const BulkTransfer& bt);
   bool eval_cond(ExecState& st, const CondProgram& cp);
+  /// Charges st.parked_cond: ref_ops x (1 + change-commits since it was
+  /// first evaluated), the evaluations the kernel's evaluate-every-commit
+  /// rule would have run, however many it actually ran.
+  void charge_cond(ExecState& st);
   void do_call(ExecState& st, const CallSite& cs);
   void do_return(ExecState& st);
   /// Moves a burst's op count into executed_ops_ (at suspension, halt).
   void flush_ops(std::uint64_t& ops);
-  /// Kernel end-of-run hook: adds this run's counts to the registry
-  /// counters (when one is attached) and zeroes them.
+  /// Kernel end-of-run hook: charges conditions still parked, adds this
+  /// run's counts to the registry counters (when one is attached) and
+  /// zeroes them.
   void flush_metrics();
 
   const spec::System& system_;
@@ -135,7 +145,7 @@ class Vm {
   std::deque<ExecState> states_;
   std::vector<spec::Value> globals_;  ///< shared by all processes
   /// Run-time counts of the current kernel run, in plain integers: the
-  /// dispatch loop, condition evaluation and every suspension add here,
+  /// dispatch loop, `wait until` charges and every suspension add here,
   /// never to a registry counter, and flush_metrics writes them into the
   /// registry once at the end of the run. A registry several concurrent
   /// runs share (the explorer's validate workers) is thus written once

@@ -89,6 +89,7 @@ Status Interpreter::setup() {
   for (const auto& p : system_.processes()) {
     const spec::Process* proc = p.get();
     ProcState& state = proc_states_[proc->name];
+    state.interp = this;
     kernel_.add_process(
         proc->name,
         [this, proc, &state]() { return run_process(*proc, state); },
@@ -433,10 +434,15 @@ SimTask Interpreter::exec_block(const Block& block, ProcState& state) {
       exec_signal_assign(*s, state);
     } else if (const auto* s = stmt.as<WaitUntil>()) {
       // Capture by reference: the frames outlive the wait because the
-      // coroutine frame (and the ProcState it points to) stays alive.
-      const ExprPtr cond = s->cond;
-      auto awaiter = kernel_.wait_until(
-          [this, cond, &state]() { return eval(*cond, state).truthy(); });
+      // coroutine frame (and the ProcState it points to) stays alive, and
+      // the AST outlives the run. Two pointers fit std::function's inline
+      // buffer, so arming the wait never heap-allocates. The reference
+      // engine keeps the unindexed, evaluate-every-commit wait, so the
+      // differential oracle checks the VM's indexed waits against it.
+      const Expr* cond = s->cond.get();
+      auto awaiter = kernel_.wait_until([cond, &state]() {
+        return state.interp->eval(*cond, state).truthy();
+      });
       co_await awaiter;
     } else if (const auto* s = stmt.as<WaitOn>()) {
       if (const std::vector<SignalId>* ids = wait_sets_.find(s)) {

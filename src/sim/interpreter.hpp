@@ -84,6 +84,9 @@ class Interpreter {
     std::map<std::string, spec::Value> vars;
   };
   struct ProcState {
+    /// Owner; lets wait-until lambdas capture only {cond, &state} and fit
+    /// std::function's inline buffer (no allocation per executed wait).
+    Interpreter* interp = nullptr;
     std::vector<Frame> frames;  // [0] = process locals
   };
 

@@ -156,33 +156,35 @@ std::size_t Kernel::next_ready(std::size_t from) const {
 
 // ---- sensitivity index ----------------------------------------------------
 
-void Kernel::link_event_waiter(ProcessRuntime& proc,
-                               std::span<const SignalId> sensitivity) {
-  proc.wait = WaitKind::kEvent;
+Kernel::EventNode*& Kernel::list_head(SignalId sig, WaitKind kind) {
+  if (kind == WaitKind::kCondition) return fields_[sig].cond_waiters;
+  return (sig & kWildcardBit) != 0 ? wildcard_waiters_[sig & ~kWildcardBit]
+                                   : fields_[sig].waiters;
+}
+
+void Kernel::link_waiter(ProcessRuntime& proc, WaitKind kind,
+                         std::span<const SignalId> ids) {
+  proc.wait = kind;
   // Nodes must not move while linked: size the vector fully first, then
-  // splice each node onto its signal's list head.
-  proc.event_nodes.assign(sensitivity.size(), EventNode{});
-  for (std::size_t i = 0; i < sensitivity.size(); ++i) {
+  // splice each node onto its list head.
+  proc.event_nodes.assign(ids.size(), EventNode{});
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     EventNode& node = proc.event_nodes[i];
     node.proc = &proc;
-    node.sig = sensitivity[i];
-    EventNode*& head = (node.sig & kWildcardBit) != 0
-                           ? wildcard_waiters_[node.sig & ~kWildcardBit]
-                           : fields_[node.sig].waiters;
+    node.sig = ids[i];
+    EventNode*& head = list_head(node.sig, kind);
     node.next = head;
     if (head != nullptr) head->prev = &node;
     head = &node;
   }
 }
 
-void Kernel::unlink_event_waiter(ProcessRuntime& proc) {
+void Kernel::unlink_waiter(ProcessRuntime& proc) {
   for (EventNode& node : proc.event_nodes) {
     if (node.prev != nullptr) {
       node.prev->next = node.next;
-    } else if ((node.sig & kWildcardBit) != 0) {
-      wildcard_waiters_[node.sig & ~kWildcardBit] = node.next;
     } else {
-      fields_[node.sig].waiters = node.next;
+      list_head(node.sig, proc.wait) = node.next;
     }
     if (node.next != nullptr) node.next->prev = node.prev;
   }
@@ -218,7 +220,7 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
       return;
     case WaitKind::kEvent: {
       if (!sensitivity_ids.empty() || sensitivity.empty()) {
-        kernel->link_event_waiter(*proc, sensitivity_ids);
+        kernel->link_waiter(*proc, WaitKind::kEvent, sensitivity_ids);
         return;
       }
       // Name-based path: `field==""` keys become whole-signal wildcard
@@ -237,7 +239,7 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
           if (it != kernel->index_.end()) resolved.push_back(it->second);
         }
       }
-      kernel->link_event_waiter(*proc, resolved);
+      kernel->link_waiter(*proc, WaitKind::kEvent, resolved);
       return;
     }
     case WaitKind::kCondition:
@@ -247,8 +249,13 @@ void Kernel::Awaiter::await_suspend(std::coroutine_handle<> h) {
         kernel->make_ready(*proc);
         return;
       }
-      proc->wait = WaitKind::kCondition;
       proc->condition = std::move(condition);
+      if (cond_indexed) {
+        proc->cond_stamp = kernel->change_commits_;
+        kernel->link_waiter(*proc, WaitKind::kCondition, sensitivity_ids);
+        return;
+      }
+      proc->wait = WaitKind::kCondition;
       proc->cond_slot = static_cast<std::uint32_t>(
           kernel->condition_waiters_.size());
       kernel->condition_waiters_.push_back(proc);
@@ -294,6 +301,14 @@ Kernel::Awaiter Kernel::wait_on(std::span<const SignalId> sensitivity) {
   aw.kernel = this;
   aw.kind = WaitKind::kEvent;
   aw.sensitivity_ids = sensitivity;
+  return aw;
+}
+
+Kernel::Awaiter Kernel::wait_until(std::function<bool()> cond,
+                                   std::span<const SignalId> reads) {
+  Awaiter aw = wait_until(std::move(cond));
+  aw.sensitivity_ids = reads;
+  aw.cond_indexed = true;
   return aw;
 }
 
@@ -459,21 +474,44 @@ bool Kernel::commit_deltas() {
     FieldState& state = fields_[id];
     while (EventNode* node = state.waiters) {
       ProcessRuntime* proc = node->proc;
-      unlink_event_waiter(*proc);
+      unlink_waiter(*proc);
       make_ready(*proc);
       ++stats_.wakeups_event;
     }
     while (EventNode* node = wildcard_waiters_[state.signal_ord]) {
       ProcessRuntime* proc = node->proc;
-      unlink_event_waiter(*proc);
+      unlink_waiter(*proc);
       make_ready(*proc);
       ++stats_.wakeups_event;
     }
   }
 
-  // Condition waiters: re-evaluate only processes actually parked on a
-  // `wait until`. Conditions read committed signal state, so evaluation
-  // order cannot change outcomes; swap-removal keeps each wake O(1).
+  // Condition waiters. A condition is a function of committed state, so
+  // evaluation order cannot change outcomes (wakes only set ready bits).
+  // Indexed waiters are evaluated only through the lists of the fields
+  // that changed — a condition none of whose fields changed still reads
+  // false — and the stamp evaluates a waiter reached through several
+  // changed fields once. Read sets are distinct, so waking `proc` unlinks
+  // no other node of this list and `next` stays valid.
+  ++change_commits_;
+  for (const SignalId id : changed_) {
+    EventNode* node = fields_[id].cond_waiters;
+    while (node != nullptr) {
+      EventNode* next = node->next;
+      ProcessRuntime* proc = node->proc;
+      if (proc->cond_stamp != change_commits_) {
+        proc->cond_stamp = change_commits_;
+        if (proc->condition()) {
+          unlink_waiter(*proc);
+          make_ready(*proc);
+          ++stats_.wakeups_condition;
+        }
+      }
+      node = next;
+    }
+  }
+  // Unindexed waiters are re-evaluated in every change-commit;
+  // swap-removal keeps each wake O(1).
   std::size_t i = 0;
   while (i < condition_waiters_.size()) {
     ProcessRuntime* proc = condition_waiters_[i];
@@ -531,7 +569,11 @@ SimResult Kernel::run(std::uint64_t max_time) {
   // heap entries left by a previous (possibly aborted) run are stale.
   timed_ = {};
   condition_waiters_.clear();
-  for (FieldState& field : fields_) field.waiters = nullptr;
+  change_commits_ = 0;
+  for (FieldState& field : fields_) {
+    field.waiters = nullptr;
+    field.cond_waiters = nullptr;
+  }
   for (EventNode*& head : wildcard_waiters_) head = nullptr;
   ready_bits_.assign((processes_.size() + 63) / 64, 0);
   ready_count_ = 0;

@@ -23,9 +23,10 @@
 // vector, so the hot paths never touch string keys. The scheduler is
 // indexed rather than scan-based: an index-ordered ready bitmap replaces
 // the all-process sweep, a min-heap of timed waiters replaces the
-// next-instant scan, and a per-signal intrusive waiter list (plus a
-// dedicated condition-waiter list) replaces the O(waiters x sensitivity x
-// changed) wakeup matching. The FieldKey name layer remains the public
+// next-instant scan, and per-field intrusive waiter lists replace the
+// O(waiters x sensitivity x changed) wakeup matching — for `wait on`
+// sensitivity and, keyed by the fields a condition reads, for
+// `wait until`. The FieldKey name layer remains the public
 // declaration/inspection API; names resolve to SignalIds once.
 //
 // The kernel also implements the bus-arbitration extension (paper Sec. 6
@@ -260,9 +261,25 @@ class Kernel {
   /// Interned sensitivity: ids must outlive the co_await (callers keep
   /// them in elaboration-time caches).
   Awaiter wait_on(std::span<const SignalId> sensitivity);
-  /// `cond` is re-evaluated after every delta commit; it must read only
-  /// signals (not time), which is all the IR's wait-until allows.
+  /// Level-sensitive `wait until`: `cond` is evaluated at once (no
+  /// suspension when it holds) and, while the process is parked, again
+  /// in delta commits. It must not read time. Indexed form: `reads` names
+  /// the distinct fields `cond` reads (plain field ids, no kWildcardBit;
+  /// the span must outlive the co_await), and `cond` may otherwise read
+  /// only state no other process can change while this one is parked (its
+  /// own variables). It is then re-evaluated only in a commit that
+  /// changed a field in `reads`, at most once per commit.
+  Awaiter wait_until(std::function<bool()> cond,
+                     std::span<const SignalId> reads);
+  /// Unindexed form, for conditions a field read set cannot cover (shared
+  /// variables another process writes without a signal event) and for the
+  /// AST reference engine: re-evaluated in every change-commit.
   Awaiter wait_until(std::function<bool()> cond);
+  /// Delta commits of the current run that changed at least one field
+  /// value ("change-commits"): the rounds in which a parked unindexed
+  /// condition is re-evaluated. Engines use it to account for condition
+  /// evaluations they no longer perform (sim.vm.executed_ops).
+  std::uint64_t change_commits() const { return change_commits_; }
   Awaiter acquire_bus(const std::string& bus);
   Awaiter acquire_bus(BusId bus);
   void release_bus(const std::string& bus);
@@ -284,11 +301,13 @@ class Kernel {
 
   struct ProcessRuntime;
 
-  /// One registration of a process on one sensitivity waiter list. Nodes
-  /// are owned by the process (`event_nodes`) and linked intrusively into
-  /// a per-field doubly-linked list — or, when `sig` carries kWildcardBit,
-  /// into the whole-signal wildcard list — so both wake-by-signal (walk
-  /// the list) and unsubscribe-on-wake (unlink every node) are O(degree).
+  /// One registration of a process on one waiter list. Nodes are owned
+  /// by the process (`event_nodes`) and linked intrusively into a
+  /// per-field doubly-linked list — the field's `wait on` list, its
+  /// `wait until` list for an indexed condition waiter, or, when `sig`
+  /// carries kWildcardBit, the whole-signal wildcard list — so both
+  /// wake-by-signal (walk the list) and unsubscribe-on-wake (unlink every
+  /// node) are O(degree).
   struct EventNode {
     ProcessRuntime* proc = nullptr;
     EventNode* prev = nullptr;
@@ -306,9 +325,14 @@ class Kernel {
 
     WaitKind wait = WaitKind::kReady;
     std::uint64_t wake_time = 0;
-    std::vector<EventNode> event_nodes;  ///< linked while wait == kEvent
+    /// Linked while wait == kEvent, or kCondition with a read set.
+    std::vector<EventNode> event_nodes;
     std::function<bool()> condition;
     std::uint32_t cond_slot = 0;  ///< position in condition_waiters_
+    /// change_commits_ value of the last commit that evaluated this
+    /// indexed condition waiter (or when it parked): a waiter reached
+    /// through several changed fields is evaluated once per commit.
+    std::uint64_t cond_stamp = 0;
     std::uint64_t lock_wait_start = 0;
 
     ProcessStats stats;
@@ -319,6 +343,7 @@ class Kernel {
     BitVector initial;
     std::optional<BitVector> pending;
     EventNode* waiters = nullptr;   ///< head of this field's waiter list
+    EventNode* cond_waiters = nullptr;  ///< indexed `wait until` waiters
     std::uint32_t signal_ord = 0;   ///< owning signal, for wildcard wakes
   };
 
@@ -352,9 +377,13 @@ class Kernel {
   std::size_t next_ready(std::size_t from) const;  ///< npos when none
 
   // ---- sensitivity index -------------------------------------------------
-  void link_event_waiter(ProcessRuntime& proc,
-                         std::span<const SignalId> sensitivity);
-  void unlink_event_waiter(ProcessRuntime& proc);
+  /// Park `proc` as `kind` (kEvent or kCondition) on the lists of `ids`.
+  void link_waiter(ProcessRuntime& proc, WaitKind kind,
+                   std::span<const SignalId> ids);
+  /// Unlink every node of `proc`, which is still parked (proc.wait names
+  /// the lists its nodes sit on).
+  void unlink_waiter(ProcessRuntime& proc);
+  EventNode*& list_head(SignalId sig, WaitKind kind);
   void remove_condition_waiter(ProcessRuntime& proc);
 
   /// Resume every kReady process until all are suspended or done.
@@ -405,7 +434,8 @@ class Kernel {
   std::priority_queue<TimedEntry, std::vector<TimedEntry>,
                       std::greater<TimedEntry>>
       timed_;
-  std::vector<ProcessRuntime*> condition_waiters_;
+  std::vector<ProcessRuntime*> condition_waiters_;  ///< unindexed only
+  std::uint64_t change_commits_ = 0;
 
   bool trace_enabled_ = false;
   std::vector<TraceEntry> trace_;
@@ -430,8 +460,10 @@ struct Kernel::Awaiter {
   WaitKind kind = WaitKind::kReady;
   std::uint64_t cycles = 0;
   std::vector<FieldKey> sensitivity;           ///< name-based wait_on
-  std::span<const SignalId> sensitivity_ids;   ///< interned wait_on
+  /// Interned wait_on sensitivity, or an indexed condition's read set.
+  std::span<const SignalId> sensitivity_ids;
   std::function<bool()> condition;
+  bool cond_indexed = false;  ///< wait_until with a read set
   std::string bus;
   BusId bus_id = kInvalidBusId;
 

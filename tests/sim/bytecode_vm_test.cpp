@@ -363,5 +363,146 @@ TEST(BytecodeVmTest, ExecutedOpsReachTheRegistryOnceAtEndOfRun) {
   EXPECT_EQ(ops.value(), 2 * total);
 }
 
+// ---- wait-until accounting -------------------------------------------------
+//
+// The kernel evaluates a parked VM condition only in commits that change a
+// field it reads, but sim.vm.executed_ops is a deterministic report metric
+// and must read as if the condition ran at the wait and again in every
+// change-commit. The pinned counts were recorded with a kernel that did
+// evaluate every parked condition in every change-commit.
+
+Signal make_signal(std::string name, std::vector<SignalField> fields) {
+  Signal s;
+  s.name = std::move(name);
+  s.fields = std::move(fields);
+  return s;
+}
+
+Process make_process(std::string name, Block body) {
+  Process p;
+  p.name = std::move(name);
+  p.body = std::move(body);
+  return p;
+}
+
+/// S.REQ handshake target plus an unrelated N.X line a noise process
+/// toggles every cycle for `toggles` cycles before (when `raise`) setting
+/// S.REQ. The waiter parks on S.REQ = 1 and then counts into WOKE.
+System parked_waiter_system(int toggles, bool raise) {
+  System system("t");
+  system.add_variable(Variable("WOKE", Type::integer(32)));
+  system.add_signal(make_signal("S", {SignalField{"REQ", 1}}));
+  system.add_signal(make_signal("N", {SignalField{"X", 1}}));
+  Block noise = {for_stmt("I", lit(1), lit(toggles),
+                          {sig_assign("N", "X", mod(var("I"), lit(2))),
+                           wait_for(1)})};
+  if (raise) noise.push_back(sig_assign("S", "REQ", lit(1)));
+  system.add_process(make_process("noise", std::move(noise)));
+  system.add_process(make_process(
+      "waiter", {wait_until(eq(sig("S", "REQ"), lit(1))),
+                 assign("WOKE", add(var("WOKE"), lit(1)))}));
+  return system;
+}
+
+std::uint64_t executed_ops(const System& system, std::uint64_t max_time,
+                           SimResult* result = nullptr) {
+  obs::MetricsRegistry metrics;
+  auto run = simulate(system, max_time, false,
+                      obs::ObsContext{&metrics, nullptr});
+  if (result != nullptr) *result = run.result;
+  return metrics.counter("sim.vm.executed_ops").value();
+}
+
+TEST(BytecodeVmTest, ParkedWaiterIsChargedForEveryChangeCommit) {
+  // 40 N.X commits the waiter does not read, then the S.REQ commit.
+  SimResult result;
+  const std::uint64_t ops =
+      executed_ops(parked_waiter_system(40, true), 1'000'000, &result);
+  ASSERT_TRUE(result.status.is_ok()) << result.status;
+  EXPECT_EQ(result.kernel.wakeups_condition, 1u);
+  EXPECT_EQ(ops, 502u);
+}
+
+TEST(BytecodeVmTest, ConditionThatAlreadyHoldsIsChargedOnce) {
+  System system("t");
+  system.add_variable(Variable("WOKE", Type::integer(32)));
+  system.add_signal(make_signal("S", {SignalField{"REQ", 1}}));
+  system.add_signal(make_signal("N", {SignalField{"X", 1}}));
+  system.add_process(make_process(
+      "noise", {for_stmt("I", lit(1), lit(10),
+                         {sig_assign("N", "X", mod(var("I"), lit(2))),
+                          wait_for(1)})}));
+  system.add_process(make_process(
+      "waiter", {wait_for(5), wait_until(eq(sig("S", "REQ"), lit(0))),
+                 assign("WOKE", lit(1))}));
+  SimResult result;
+  const std::uint64_t ops = executed_ops(system, 1'000'000, &result);
+  ASSERT_TRUE(result.status.is_ok()) << result.status;
+  EXPECT_EQ(result.kernel.wakeups_condition, 0u);
+  EXPECT_EQ(ops, 108u);
+}
+
+TEST(BytecodeVmTest, WaiterParkedAtQuiescenceIsChargedAtRunEnd) {
+  SimResult result;
+  const std::uint64_t ops =
+      executed_ops(parked_waiter_system(40, false), 1'000'000, &result);
+  ASSERT_TRUE(result.status.is_ok()) << result.status;
+  EXPECT_EQ(result.kernel.wakeups_condition, 0u);
+  EXPECT_FALSE(result.find("waiter")->completed);
+  EXPECT_EQ(ops, 492u);
+}
+
+TEST(BytecodeVmTest, WaiterParkedAtMaxTimeIsChargedAtRunEnd) {
+  // The noise outlives max_time, so the run aborts with the waiter parked.
+  SimResult result;
+  const std::uint64_t ops =
+      executed_ops(parked_waiter_system(1000, true), 30, &result);
+  EXPECT_FALSE(result.status.is_ok());
+  EXPECT_FALSE(result.find("waiter")->completed);
+  EXPECT_EQ(ops, 381u);
+}
+
+TEST(BytecodeVmTest, WaitUntilOnAGlobalWakesLikeTheAstEngine) {
+  // G is a system variable: the writer changes it with no signal event of
+  // its own, in a delta that also commits an unrelated signal. The waiter
+  // reads G together with a signal, so a read set of signals alone would
+  // never re-evaluate it when G changes. Both engines must wake it in
+  // that commit and agree on wake time, end time and final state.
+  System system("t");
+  system.add_variable(Variable("G", Type::integer(32)));
+  system.add_variable(Variable("SEEN", Type::integer(32)));
+  system.add_signal(make_signal("S", {SignalField{"REQ", 1}}));
+  system.add_signal(make_signal("N", {SignalField{"X", 1}}));
+  system.add_signal(make_signal("W", {SignalField{"V", 1}}));
+  system.add_process(make_process(
+      "writer", {sig_assign("S", "REQ", lit(1)), wait_for(5),
+                 assign("G", lit(7)), sig_assign("N", "X", lit(1))}));
+  system.add_process(make_process(
+      "waiter", {wait_until(land(eq(sig("S", "REQ"), lit(1)),
+                                 eq(var("G"), lit(7)))),
+                 sig_assign("W", "V", lit(1)), wait_for(3),
+                 assign("SEEN", var("G"))}));
+
+  auto vm = simulate(system, 1'000'000, true, {}, {Engine::kVm});
+  auto ast = simulate(system, 1'000'000, true, {}, {Engine::kAst});
+  ASSERT_TRUE(vm.result.status.is_ok()) << vm.result.status;
+  ASSERT_TRUE(ast.result.status.is_ok()) << ast.result.status;
+  auto wake_time = [](const SimulationRun& run) {
+    for (const TraceEntry& e : run.kernel->trace()) {
+      if (e.key == FieldKey{"W", "V"}) return e.time;
+    }
+    return ~std::uint64_t{0};
+  };
+  EXPECT_EQ(wake_time(ast), 5u);
+  EXPECT_EQ(wake_time(vm), wake_time(ast));
+  EXPECT_EQ(ast.result.end_time, 8u);
+  EXPECT_EQ(vm.result.end_time, ast.result.end_time);
+  EXPECT_EQ(vm.result.find("waiter")->finish_time,
+            ast.result.find("waiter")->finish_time);
+  EXPECT_EQ(ast.interpreter->value_of("SEEN").get().to_int(), 7);
+  EXPECT_EQ(vm.interpreter->value_of("SEEN").get().to_int(),
+            ast.interpreter->value_of("SEEN").get().to_int());
+}
+
 }  // namespace
 }  // namespace ifsyn::sim

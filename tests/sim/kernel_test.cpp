@@ -195,6 +195,150 @@ TEST(KernelTest, WaitUntilWakesWhenConditionBecomesTrue) {
   EXPECT_EQ(woke_at, 30u);  // S reaches 3 at t=30
 }
 
+// Indexed condition waiters (wait_until with a read set). Each test counts
+// its own condition's calls: the kernel may evaluate a parked condition
+// only in a commit that changed a field in its read set, once per commit.
+
+TEST(KernelTest, IndexedConditionSkipsCommitsToOtherFields) {
+  Kernel kernel;
+  kernel.add_signal_field(key("S"), BitVector::from_uint(1, 0));
+  kernel.add_signal_field(key("OTHER"), BitVector::from_uint(4, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("S"))};
+  int calls = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    auto aw = kernel.wait_until(
+        [&]() {
+          ++calls;
+          return kernel.signal_value(key("S")).to_uint() == 1;
+        },
+        reads);
+    co_await aw;
+  });
+  kernel.add_process("writer", [&]() -> SimTask {
+    for (std::uint64_t v = 1; v <= 5; ++v) {
+      { auto aw = kernel.wait_for(1); co_await aw; }
+      kernel.schedule_signal(key("OTHER"), BitVector::from_uint(4, v));
+      // Re-assigning S its current value commits but changes nothing.
+      kernel.schedule_signal(key("S"), BitVector::from_uint(1, 0));
+    }
+  });
+  SimResult result = kernel.run();
+  ASSERT_TRUE(result.status.is_ok());
+  EXPECT_EQ(calls, 1) << "evaluated by commits that left S unchanged";
+  EXPECT_EQ(kernel.change_commits(), 5u);
+  EXPECT_FALSE(result.find("waiter")->completed);
+  EXPECT_EQ(result.kernel.wakeups_condition, 0u);
+}
+
+TEST(KernelTest, IndexedConditionWakesInTheCommitThatChangesItsField) {
+  Kernel kernel;
+  kernel.add_signal_field(key("S"), BitVector::from_uint(8, 0));
+  kernel.add_signal_field(key("OTHER"), BitVector::from_uint(8, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("S"))};
+  int calls = 0;
+  std::uint64_t woke_at = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    auto aw = kernel.wait_until(
+        [&]() {
+          ++calls;
+          return kernel.signal_value(key("S")).to_uint() >= 3;
+        },
+        reads);
+    co_await aw;
+    woke_at = kernel.now();
+  });
+  kernel.add_process("writer", [&]() -> SimTask {
+    for (std::uint64_t v = 1; v <= 3; ++v) {
+      { auto aw = kernel.wait_for(5); co_await aw; }
+      kernel.schedule_signal(key("OTHER"), BitVector::from_uint(8, v));
+      { auto aw = kernel.wait_for(5); co_await aw; }
+      kernel.schedule_signal(key("S"), BitVector::from_uint(8, v));
+    }
+  });
+  SimResult result = kernel.run();
+  ASSERT_TRUE(result.status.is_ok());
+  EXPECT_EQ(woke_at, 30u);  // S reaches 3 at t=30
+  EXPECT_EQ(calls, 4) << "once at the wait, once per S commit";
+  EXPECT_EQ(kernel.change_commits(), 6u);
+  EXPECT_EQ(result.kernel.wakeups_condition, 1u);
+}
+
+TEST(KernelTest, IndexedConditionOverTwoFieldsIsEvaluatedOncePerCommit) {
+  Kernel kernel;
+  kernel.add_signal_field(key("A"), BitVector::from_uint(4, 0));
+  kernel.add_signal_field(key("B"), BitVector::from_uint(4, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("A")),
+                                    kernel.signal_id(key("B"))};
+  int calls = 0;
+  std::uint64_t woke_at = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    auto aw = kernel.wait_until(
+        [&]() {
+          ++calls;
+          return kernel.signal_value(key("A")).to_uint() == 3 &&
+                 kernel.signal_value(key("B")).to_uint() == 3;
+        },
+        reads);
+    co_await aw;
+    woke_at = kernel.now();
+  });
+  kernel.add_process("writer", [&]() -> SimTask {
+    for (std::uint64_t v = 1; v <= 3; ++v) {
+      { auto aw = kernel.wait_for(1); co_await aw; }
+      // Both fields of the read set change in the same commit.
+      kernel.schedule_signal(key("A"), BitVector::from_uint(4, v));
+      kernel.schedule_signal(key("B"), BitVector::from_uint(4, v));
+    }
+  });
+  SimResult result = kernel.run();
+  ASSERT_TRUE(result.status.is_ok());
+  EXPECT_EQ(woke_at, 3u);
+  EXPECT_EQ(calls, 4) << "once at the wait, once per commit";
+  EXPECT_EQ(result.kernel.wakeups_condition, 1u);
+}
+
+TEST(KernelTest, SecondRunStartsWithEmptyConditionLists) {
+  // The first run ends with the waiter parked on S; the second run's
+  // activation of the same process never waits, and the writer then
+  // changes S. The first run's registration must be gone.
+  Kernel kernel;
+  kernel.add_signal_field(key("S"), BitVector::from_uint(1, 0));
+  const std::vector<SignalId> reads{kernel.signal_id(key("S"))};
+  int run = 0;
+  int calls = 0;
+  kernel.add_process("waiter", [&]() -> SimTask {
+    if (run == 1) {
+      auto aw = kernel.wait_until(
+          [&]() {
+            ++calls;
+            return false;
+          },
+          reads);
+      co_await aw;
+    }
+  });
+  kernel.add_process("writer", [&]() -> SimTask {
+    if (run == 2) {
+      { auto aw = kernel.wait_for(1); co_await aw; }
+      kernel.schedule_signal(key("S"), BitVector::from_uint(1, 1));
+    }
+  });
+
+  run = 1;
+  SimResult first = kernel.run();
+  ASSERT_TRUE(first.status.is_ok());
+  EXPECT_FALSE(first.find("waiter")->completed);
+  EXPECT_EQ(calls, 1);
+
+  run = 2;
+  SimResult second = kernel.run();
+  ASSERT_TRUE(second.status.is_ok());
+  EXPECT_TRUE(second.find("waiter")->completed);
+  EXPECT_EQ(kernel.change_commits(), 1u);
+  EXPECT_EQ(calls, 1) << "the first run's waiter was evaluated again";
+  EXPECT_EQ(second.kernel.wakeups_condition, 0u);
+}
+
 TEST(KernelTest, TwoProcessHandshake) {
   // Minimal four-phase handshake straight against the kernel API.
   Kernel kernel;
